@@ -69,7 +69,7 @@ int main() {
     const auto start = std::chrono::steady_clock::now();
     volatile std::uint64_t sink = 0;
     for (int i = 0; i < kReps; ++i) {
-      sink ^= KeyedTag(0xabcdef + i, image);
+      sink = sink ^ KeyedTag(0xabcdef + i, image);
     }
     const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
                              std::chrono::steady_clock::now() - start)

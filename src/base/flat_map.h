@@ -48,7 +48,7 @@ inline std::size_t StringHeapBytes(const std::string& s) {
 /// Domain-tagged charge/release pair shared by the flat containers.
 template <telemetry::mem::Domain Domain>
 inline void ChargeBytes(std::size_t bytes) {
-#if VIATOR_MEM_COUNTERS
+#if VIATOR_PLANES
   if (bytes != 0) telemetry::mem::OnAlloc(Domain, bytes);
 #else
   (void)bytes;
@@ -57,7 +57,7 @@ inline void ChargeBytes(std::size_t bytes) {
 
 template <telemetry::mem::Domain Domain>
 inline void ReleaseBytes(std::size_t bytes) {
-#if VIATOR_MEM_COUNTERS
+#if VIATOR_PLANES
   if (bytes != 0) telemetry::mem::OnFree(Domain, bytes);
 #else
   (void)bytes;

@@ -47,10 +47,10 @@ std::optional<HealthEvent> MemGrowthDetector::Observe(
 }
 
 std::vector<HealthEvent> MemGrowthDetector::ObserveBlock(
-    const telemetry::mem::ThreadBlock& aggregate, sim::TimePoint now) {
+    const telemetry::mem::Plane::Block& aggregate, sim::TimePoint now) {
   std::vector<HealthEvent> fresh;
   for (std::size_t d = 0; d < telemetry::mem::kDomainCount; ++d) {
-    const auto& counter = aggregate.counters[d];
+    const auto& counter = aggregate[d];
     const std::uint64_t live =
         counter.live_bytes > 0
             ? static_cast<std::uint64_t>(counter.live_bytes)

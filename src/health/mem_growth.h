@@ -50,7 +50,7 @@ class MemGrowthDetector {
   /// counter block (negative per-thread transients clamp to zero). Returns
   /// only the events newly raised by this sweep.
   std::vector<HealthEvent> ObserveBlock(
-      const telemetry::mem::ThreadBlock& aggregate, sim::TimePoint now);
+      const telemetry::mem::Plane::Block& aggregate, sim::TimePoint now);
 
   /// Every event raised since construction, in raise order.
   const std::vector<HealthEvent>& events() const { return events_; }

@@ -86,7 +86,7 @@ ReplayWorld::ReplayWorld(const ScenarioConfig& config, bool populate,
   // Scenario boundary: the process-wide perf counter blocks would otherwise
   // leak the previous scenario's counts into this one (bench_replay runs
   // several tiers per process; regression test PerfCountersResetPerScenario).
-  if (populate) telemetry::perf::ResetAll();
+  if (populate) telemetry::perf::Plane::ResetAll();
   wli::WnConfig wn_config;
   wn_config.telemetry.enable_tracing = config_.tracing;
   if (populate) topology_ = net::MakeGrid(config_.rows, config_.cols);

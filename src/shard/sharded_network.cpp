@@ -165,7 +165,7 @@ void ShardedNetwork::OnBoundary(ShardId shard, wli::Ship& gateway,
   handoff.source_shard = shard;
   handoff.sequence = slot.handoff_seq++;
   handoff.entry_node = from_a ? link.b : link.a;
-  if (telemetry::lat::Enabled() && shuttle.lat_id != 0) {
+  if (telemetry::lat::Plane::Enabled() && shuttle.lat_id != 0) {
     // Latency continuity across shards: close the flight out of the source
     // lane and carry its birth time so the destination lane re-seeds it at
     // merge. Observability-only — excluded from the handoff hash.
@@ -238,7 +238,7 @@ std::uint64_t ShardedNetwork::RunWindows(std::size_t count) {
       // Fold the latency plane's window sketch at the barrier: quantiles for
       // the counter tracks and the worst-K exemplars for tail drill-down.
       // Deterministic (pure sim-time), so benches pin the series.
-      if (telemetry::lat::Enabled()) {
+      if (telemetry::lat::Plane::Enabled()) {
         slot.lat_window = slot.network->lat_lane().FoldWindow();
       } else {
         slot.lat_window = {};
@@ -322,7 +322,7 @@ std::size_t ShardedNetwork::MergeWindow(sim::TimePoint window_end,
           link.shard_a == entry_shard ? link.a : link.b);
     }
 
-    if (telemetry::lat::Enabled() && shuttle.lat_id != 0 &&
+    if (telemetry::lat::Plane::Enabled() && shuttle.lat_id != 0 &&
         handoff.lat_birth != 0) {
       // Re-seed the flight in the destination shard's lane so the eventual
       // delivery measures the true end-to-end latency from global birth.

@@ -9,23 +9,17 @@
 // (exec). Probes fire at birth (Inject/Dispatch), per-hop transit and queue
 // wait (net::Fabric), EE execution (Ship::Consume → ExecuteShuttleCode) and
 // delivery/drop; all durations are pure sim-time differences, so the sketch
-// contents are bit-identical at any thread count (bench_latency's
-// ReplayNeutrality + bucket-exactness gates).
+// contents are bit-identical at any thread count (bench_planes' neutrality
+// and bucket-exactness gates).
 //
-// Cost contract (docs/LATENCY.md), same shape as the perf/mem planes:
-//  - compile-time off (-DVIATOR_LAT_COUNTERS=0): every probe macro expands
-//    to nothing (tests/test_lat_compiled_out.cpp);
-//  - runtime off (the default): one relaxed atomic load + predicted branch
-//    per probe;
-//  - runtime on: integer bucket arithmetic against this network's Lane,
-//    plus one hash-table touch per lifecycle transition.
-//
-// Determinism contract: latency values never feed a simulation decision,
-// never enter journals or state hashes. `lat_id` values come from a global
-// relaxed counter and are NOT deterministic across thread counts — they are
-// transient side-table keys only and must never be published or compared;
-// every published artifact (sketch buckets, quantiles, exemplars) is a
-// function of deterministic sim-time values.
+// A Lane is per network, not per thread, so only the runtime switch and the
+// VIATOR_PLANES compile-out come from the shared core (telemetry/plane.h);
+// the cost and determinism contract is docs/PERF.md's. On top of it:
+// `lat_id` values come from a global relaxed counter and are NOT
+// deterministic across thread counts — they are transient side-table keys
+// only and must never be published or compared; every published artifact
+// (sketch buckets, quantiles, exemplars) is a function of deterministic
+// sim-time values.
 //
 // Single-writer discipline: a Lane is touched only by the thread currently
 // running its network (the shard worker inside a window, the barrier thread
@@ -33,9 +27,7 @@
 // ShardSlot scratch rely on.
 //
 // This header is self-contained below net/core (sim + base only) so the
-// fabric can record hop/queue stages without inverting the library order;
-// the out-of-line helpers (PublishLatStats, FormatLatReport) live in
-// latency_plane.cpp inside viator_telemetry.
+// fabric can record hop/queue stages without inverting the library order.
 #pragma once
 
 #include <algorithm>
@@ -47,10 +39,7 @@
 
 #include "sim/time.h"
 #include "telemetry/latency_sketch.h"
-
-#if !defined(VIATOR_LAT_COUNTERS)
-#define VIATOR_LAT_COUNTERS 1
-#endif
+#include "telemetry/plane.h"
 
 namespace viator::telemetry::lat {
 
@@ -106,21 +95,18 @@ inline constexpr std::size_t StageClassCount(Stage stage) {
   return stage == Stage::kExec ? kRoleCount : kClassCount;
 }
 
+class Lane;
+
+/// The latency plane's runtime switch. Flip before building the world to
+/// cover construction traffic.
+using Plane = plane::Switch<Lane>;
+
 namespace internal {
-inline std::atomic<bool> g_enabled{false};
 /// Global flight-id spring. Relaxed and shared across lanes/threads: ids
 /// are unique, not deterministic (see the header contract).
 inline std::atomic<std::uint64_t> g_next_id{1};
 }  // namespace internal
 
-/// The runtime switch. Off (default): every probe costs one predicted
-/// branch. Flip before building the world to cover construction traffic.
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
-inline void SetEnabled(bool on) {
-  internal::g_enabled.store(on, std::memory_order_relaxed);
-}
 inline std::uint64_t NextFlightId() {
   return internal::g_next_id.fetch_add(1, std::memory_order_relaxed);
 }
@@ -293,16 +279,8 @@ class Lane {
   const LatencySketch& window_sketch() const { return window_delivery_; }
   LatencySketch& mutable_window_sketch() { return window_delivery_; }
 
-  std::uint64_t DeliveredCount() const {
-    std::uint64_t n = 0;
-    for (const LatencySketch& s : per_class_[DeliveryIdx]) n += s.count();
-    return n;
-  }
-  std::uint64_t DroppedCount() const {
-    std::uint64_t n = 0;
-    for (const LatencySketch& s : per_class_[DropIdx]) n += s.count();
-    return n;
-  }
+  std::uint64_t DeliveredCount() const { return RowCount(DeliveryIdx); }
+  std::uint64_t DroppedCount() const { return RowCount(DropIdx); }
   std::size_t open_flights() const { return flights_.size(); }
 
   void set_exemplar_capacity(std::size_t capacity) {
@@ -338,6 +316,12 @@ class Lane {
     }
   }
 
+  std::uint64_t RowCount(std::size_t row) const {
+    std::uint64_t n = 0;
+    for (const LatencySketch& s : per_class_[row]) n += s.count();
+    return n;
+  }
+
   static std::uint64_t DurationNs(sim::TimePoint from, sim::TimePoint to) {
     return to >= from ? static_cast<std::uint64_t>(to - from) : 0;
   }
@@ -369,7 +353,7 @@ class Lane {
 
 template <typename ShuttleT>
 inline void ProbeBirth(Lane* lane, ShuttleT& shuttle, sim::TimePoint now) {
-  if (lane == nullptr || !Enabled()) return;
+  if (lane == nullptr || !Plane::Enabled()) return;
   if (shuttle.lat_id != 0) return;  // re-dispatch of a tracked flight
   shuttle.lat_id = NextFlightId();
   lane->OnBirth(shuttle.lat_id, now,
@@ -380,55 +364,55 @@ inline void ProbeBirth(Lane* lane, ShuttleT& shuttle, sim::TimePoint now) {
 template <typename ShuttleT>
 inline void ProbeDelivered(Lane* lane, const ShuttleT& shuttle,
                            sim::TimePoint now) {
-  if (lane == nullptr || !Enabled() || shuttle.lat_id == 0) return;
+  if (lane == nullptr || !Plane::Enabled() || shuttle.lat_id == 0) return;
   lane->OnDelivered(shuttle.lat_id, now);
 }
 
 template <typename ShuttleT>
 inline void ProbeDrop(Lane* lane, const ShuttleT& shuttle,
                       sim::TimePoint now) {
-  if (lane == nullptr || !Enabled() || shuttle.lat_id == 0) return;
+  if (lane == nullptr || !Plane::Enabled() || shuttle.lat_id == 0) return;
   lane->OnDropped(shuttle.lat_id, now);
 }
 
 template <typename ShuttleT>
 inline void ProbeExecEnter(Lane* lane, const ShuttleT& shuttle,
                            sim::TimePoint now) {
-  if (lane == nullptr || !Enabled() || shuttle.lat_id == 0) return;
+  if (lane == nullptr || !Plane::Enabled() || shuttle.lat_id == 0) return;
   lane->OnExecEnter(shuttle.lat_id, now);
 }
 
 template <typename ShuttleT>
 inline void ProbeExecDone(Lane* lane, const ShuttleT& shuttle,
                           sim::TimePoint now, std::uint8_t role) {
-  if (lane == nullptr || !Enabled() || shuttle.lat_id == 0) return;
+  if (lane == nullptr || !Plane::Enabled() || shuttle.lat_id == 0) return;
   lane->OnExecDone(shuttle.lat_id, now, role);
 }
 
 inline void ProbeHop(Lane* lane, std::uint8_t cls, std::uint64_t ns) {
-  if (lane == nullptr || !Enabled()) return;
+  if (lane == nullptr || !Plane::Enabled()) return;
   lane->RecordHop(cls, ns);
 }
 
 inline void ProbeQueue(Lane* lane, std::uint8_t cls, std::uint64_t ns) {
-  if (lane == nullptr || !Enabled()) return;
+  if (lane == nullptr || !Plane::Enabled()) return;
   lane->RecordQueue(cls, ns);
 }
 
 /// A frame the fabric lost with the shuttle inside (loss draw, link down,
 /// queue overflow before the payload type is known): closes by bare id.
 inline void ProbeLost(Lane* lane, std::uint64_t lat_id, sim::TimePoint now) {
-  if (lane == nullptr || !Enabled() || lat_id == 0) return;
+  if (lane == nullptr || !Plane::Enabled() || lat_id == 0) return;
   lane->OnDropped(lat_id, now);
 }
 
 }  // namespace viator::telemetry::lat
 
-// The probe macros instrumented code uses. With VIATOR_LAT_COUNTERS=0 they
-// expand to nothing at all — the compiled-out contract
-// (tests/test_lat_compiled_out.cpp). Arguments are only evaluated when the
-// plane is compiled in, so expressions must stay side-effect free.
-#if VIATOR_LAT_COUNTERS
+// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
+// to nothing at all — the compiled-out contract. Arguments are only
+// evaluated when the plane is compiled in, so expressions must stay
+// side-effect free.
+#if VIATOR_PLANES
 #define VIATOR_LAT_BIRTH(lane, shuttle, now) \
   ::viator::telemetry::lat::ProbeBirth((lane), (shuttle), (now))
 #define VIATOR_LAT_DELIVERED(lane, shuttle, now) \

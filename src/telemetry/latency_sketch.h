@@ -5,7 +5,7 @@
 // pure integer arithmetic (a bit-scan and a shift — no logarithms, no
 // floating point), so recording the same multiset of durations yields the
 // same bucket array on every platform and at every thread count. That is
-// what lets bench_latency pin per-class quantiles bucket-exactly across
+// what lets bench_planes pin per-class quantiles bucket-exactly across
 // threads=1 and threads=4 and lets the genesis section round-trip
 // bit-identically.
 //

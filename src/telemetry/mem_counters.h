@@ -1,24 +1,11 @@
 // Byte-level memory attribution for the allocator-owning layers of the
-// simulation core, the memory twin of telemetry/perf_counters.h: a fixed
-// enum of accounting domains, per-thread counter blocks (no sharing, no
-// atomics on the hot path), and alloc/free probes that cost one predicted
-// branch when the plane is off.
-//
-// Cost contract (docs/MEMORY.md):
-//  - compile-time off (-DVIATOR_MEM_COUNTERS=0): every probe macro expands
-//    to nothing — zero instructions, zero bytes, provably (see
-//    tests/test_mem_compiled_out.cpp);
-//  - runtime off (the default): one relaxed atomic load + predicted branch
-//    per probe;
-//  - runtime on: a handful of additions against this thread's private block.
-//
-// Determinism contract: counter values never feed a simulation decision,
-// never enter snapshots or journals, and never appear in any hash — a
-// counters-on run and a counters-off run of the same seed make bit-identical
-// decisions (ReplayNeutrality, gated by bench_memory). Unlike perf cycles,
-// the *byte* values themselves are deterministic functions of the workload
-// (capacity growth follows the same doubling schedule every run), which is
-// what lets bench/baselines/BENCH_memory.json pin them exactly.
+// simulation core: a fixed enum of accounting domains on the shared
+// per-thread plane core (telemetry/plane.h), and alloc/free probes that
+// cost one predicted branch when the plane is off. Cost and determinism
+// contract: docs/PERF.md. Unlike perf cycles, the *byte* values are
+// deterministic functions of the workload (capacity growth follows the same
+// doubling schedule every run), which is what lets
+// bench/baselines/BENCH_planes.json pin them exactly.
 //
 // Aggregation semantics: live/alloc/free byte sums are order-independent and
 // exact at any thread count (a shuttle pooled on shard A and reacquired on
@@ -26,26 +13,12 @@
 // is right even though each block alone may go negative). Summed peaks are
 // an upper bound on the true process-wide peak — exact when one thread does
 // the touching, which is true for every pinned baseline tier.
-//
-// This header is deliberately self-contained (no sim/net/core includes) so
-// the layers below telemetry — base/flat_map.h, sim/calendar_queue.h — can
-// embed probes without inverting the library dependency order: everything is
-// inline or thread_local; the only out-of-line helpers (report formatting,
-// StatsRegistry publication, RSS readers) live in mem_counters.cpp inside
-// viator_telemetry, which only upper layers call.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
-#if !defined(VIATOR_MEM_COUNTERS)
-#define VIATOR_MEM_COUNTERS 1
-#endif
+#include "telemetry/plane.h"
 
 namespace viator::telemetry::mem {
 
@@ -81,100 +54,25 @@ struct Counter {
   std::uint64_t frees = 0;
   std::uint64_t alloc_bytes = 0;
   std::uint64_t free_bytes = 0;
+
+  void Merge(const Counter& other) {
+    live_bytes += other.live_bytes;
+    peak_bytes += other.peak_bytes;
+    allocs += other.allocs;
+    frees += other.frees;
+    alloc_bytes += other.alloc_bytes;
+    free_bytes += other.free_bytes;
+  }
 };
 
-/// Per-thread counter block. Written only by its owning thread; read (and
-/// zeroed) by Registry under its lock, which callers must only do while the
-/// writing threads are quiescent (e.g. at a window barrier) — the executor's
-/// own synchronization then orders the accesses.
-struct ThreadBlock {
-  std::array<Counter, kDomainCount> counters{};
-};
-
-namespace internal {
-inline std::atomic<bool> g_enabled{false};
-}  // namespace internal
-
-/// The runtime switch. Off (default): every probe costs one predicted
-/// branch. Flip it before building the world to attribute construction-time
-/// allocations; per-thread counts accumulate until ResetAll().
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
-inline void SetEnabled(bool on) {
-  internal::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-/// Owns every thread's block for the lifetime of the process (blocks of
-/// finished threads are retained so their counts stay in the aggregate).
-/// Leaked singleton: probes must stay valid during static destruction.
-class Registry {
- public:
-  static Registry& Instance() {
-    static Registry* instance = new Registry;  // intentionally leaked
-    return *instance;
-  }
-
-  /// Creates and adopts the calling thread's block.
-  ThreadBlock* Attach() {
-    auto block = std::make_unique<ThreadBlock>();
-    ThreadBlock* raw = block.get();
-    std::lock_guard<std::mutex> lock(mutex_);
-    blocks_.push_back(std::move(block));
-    return raw;
-  }
-
-  /// Sum of every thread's counters (see the aggregation-semantics note in
-  /// the header comment). Call only while instrumented threads are
-  /// quiescent (see ThreadBlock).
-  std::array<Counter, kDomainCount> Aggregate() const {
-    std::array<Counter, kDomainCount> total{};
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& block : blocks_) {
-      for (std::size_t i = 0; i < kDomainCount; ++i) {
-        const Counter& c = block->counters[i];
-        total[i].live_bytes += c.live_bytes;
-        total[i].peak_bytes += c.peak_bytes;
-        total[i].allocs += c.allocs;
-        total[i].frees += c.frees;
-        total[i].alloc_bytes += c.alloc_bytes;
-        total[i].free_bytes += c.free_bytes;
-      }
-    }
-    return total;
-  }
-
-  /// The scenario reset hook: zeroes every thread's block so successive
-  /// scenarios in one process start from a clean slate instead of
-  /// inheriting the previous run's counts. Same quiescence requirement as
-  /// Aggregate().
-  void ResetAll() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& block : blocks_) block->counters.fill(Counter{});
-  }
-
- private:
-  Registry() = default;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBlock>> blocks_;
-};
-
-inline ThreadBlock& LocalBlock() {
-  thread_local ThreadBlock* block = Registry::Instance().Attach();
-  return *block;
-}
-
-/// Convenience forwarders for the common calls.
-inline std::array<Counter, kDomainCount> Aggregate() {
-  return Registry::Instance().Aggregate();
-}
-inline void ResetAll() { Registry::Instance().ResetAll(); }
+/// The byte plane: switch, per-thread blocks, Aggregate/ResetAll.
+using Plane = plane::Counters<Counter, kDomainCount>;
 
 /// Charges `bytes` to `domain`: the owning allocator took that much more
 /// heap (a capacity growth, a pooled shell retained, a row filled).
 inline void OnAlloc(Domain domain, std::size_t bytes) {
-  if (!Enabled()) return;
-  Counter& c = LocalBlock().counters[static_cast<std::size_t>(domain)];
+  if (!Plane::Enabled()) return;
+  Counter& c = Plane::Local()[static_cast<std::size_t>(domain)];
   ++c.allocs;
   c.alloc_bytes += bytes;
   c.live_bytes += static_cast<std::int64_t>(bytes);
@@ -183,8 +81,8 @@ inline void OnAlloc(Domain domain, std::size_t bytes) {
 
 /// Releases `bytes` from `domain` (a shrink, an eviction, a destructor).
 inline void OnFree(Domain domain, std::size_t bytes) {
-  if (!Enabled()) return;
-  Counter& c = LocalBlock().counters[static_cast<std::size_t>(domain)];
+  if (!Plane::Enabled()) return;
+  Counter& c = Plane::Local()[static_cast<std::size_t>(domain)];
   ++c.frees;
   c.free_bytes += bytes;
   c.live_bytes -= static_cast<std::int64_t>(bytes);
@@ -206,13 +104,13 @@ inline void OnResize(Domain domain, std::size_t old_bytes,
 /// copy re-charges its own balance and a move transfers it — so objects
 /// holding one can be copied, moved and destroyed without ever leaking or
 /// double-freeing attributed bytes. Value reads (`value()`) are always-on
-/// and deterministic; only the global mirroring obeys Enabled().
+/// and deterministic; only the global mirroring obeys Plane::Enabled().
 ///
-/// `kMirror` defaults to this translation unit's VIATOR_MEM_COUNTERS value;
-/// baking it into the type keeps -DVIATOR_MEM_COUNTERS=0 units (the
-/// compiled-out test) from violating the ODR against library units built
-/// with probes on — the two configurations instantiate distinct types.
-template <Domain D, bool kMirror = (VIATOR_MEM_COUNTERS != 0)>
+/// `kMirror` defaults to this translation unit's VIATOR_PLANES value;
+/// baking it into the type keeps -DVIATOR_PLANES=0 units (the compiled-out
+/// test) from violating the ODR against library units built with probes
+/// on — the two configurations instantiate distinct types.
+template <Domain D, bool kMirror = (VIATOR_PLANES != 0)>
 class ChargedBytes {
  public:
   ChargedBytes() = default;
@@ -262,11 +160,11 @@ class ChargedBytes {
 
 }  // namespace viator::telemetry::mem
 
-// The probe macros instrumented code uses. With VIATOR_MEM_COUNTERS=0 they
-// expand to nothing at all — the compiled-out contract. Arguments are only
+// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
+// to nothing at all — the compiled-out contract. Arguments are only
 // evaluated when the plane is compiled in, so byte expressions must stay
 // side-effect free.
-#if VIATOR_MEM_COUNTERS
+#if VIATOR_PLANES
 #define VIATOR_MEM_ALLOC(domain, bytes)       \
   ::viator::telemetry::mem::OnAlloc(          \
       ::viator::telemetry::mem::Domain::domain, (bytes))

@@ -1,42 +1,20 @@
 // Cycle-level performance counters for the hot paths of the simulation core,
 // in the style of nginx-vod's ngx_perf_counters: a fixed enum of probe
-// points, per-thread counter blocks (no sharing, no atomics on the hot
-// path), and an rdtsc-based cycle clock with a steady_clock fallback.
+// points on the shared per-thread plane core (telemetry/plane.h) and an
+// rdtsc-based cycle clock with a steady_clock fallback. Cost and
+// determinism contract: docs/PERF.md.
 //
-// Cost contract (docs/PERF.md):
-//  - compile-time off (-DVIATOR_PERF_COUNTERS=0): every probe macro expands
-//    to nothing — zero instructions, zero bytes, provably (see
-//    tests/test_perf_compiled_out.cpp);
-//  - runtime off (the default): one relaxed atomic load + predicted branch
-//    per probe;
-//  - runtime on: two cycle-clock reads per timed probe, one increment per
-//    counting probe, all against this thread's private block.
-//
-// Determinism contract: counter values are measurements of the host
-// machine. They never feed a simulation decision, never enter snapshots or
-// journals, and never appear in any hash — a counters-on run and a
-// counters-off run of the same seed make bit-identical decisions
-// (ReplayNeutrality, gated by bench_shard_observatory).
-//
-// This header is deliberately self-contained (no sim/net/core includes) so
-// the layers below telemetry — base/rng.cpp, sim/simulator.cpp — can embed
-// probes without inverting the library dependency order: everything is
-// inline or thread_local; the only out-of-line helpers (report formatting,
-// StatsRegistry publication) live in perf_counters.cpp inside
-// viator_telemetry, which only upper layers call.
+// Timed scopes nest: each thread keeps a stack of its armed Timers, so a
+// scope records both its total cycles and its self cycles (total minus the
+// totals of the scopes nested directly inside it). Self cycles partition
+// the measured time, which is what FormatPerfReport's share column divides.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <vector>
 
-#if !defined(VIATOR_PERF_COUNTERS)
-#define VIATOR_PERF_COUNTERS 1
-#endif
+#include "telemetry/plane.h"
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <x86intrin.h>
@@ -75,17 +53,20 @@ const char* MetricName(Metric metric);
 /// One probe point's accumulated cost on one thread.
 struct Counter {
   std::uint64_t calls = 0;
-  std::uint64_t cycles = 0;
+  std::uint64_t cycles = 0;       // total, nested scopes included
+  std::uint64_t self_cycles = 0;  // total minus directly nested scopes
   std::uint64_t max_cycles = 0;
+
+  void Merge(const Counter& other) {
+    calls += other.calls;
+    cycles += other.cycles;
+    self_cycles += other.self_cycles;
+    if (other.max_cycles > max_cycles) max_cycles = other.max_cycles;
+  }
 };
 
-/// Per-thread counter block. Written only by its owning thread; read (and
-/// zeroed) by Registry under its lock, which callers must only do while the
-/// writing threads are quiescent (e.g. at a window barrier) — the executor's
-/// own synchronization then orders the accesses.
-struct ThreadBlock {
-  std::array<Counter, kMetricCount> counters{};
-};
+/// The cycle plane: switch, per-thread blocks, Aggregate/ResetAll.
+using Plane = plane::Counters<Counter, kMetricCount>;
 
 /// Cycle clock: rdtsc where available (x86-64; ~20 cycles, monotonic enough
 /// for deltas on any post-2008 part with constant_tsc), otherwise
@@ -102,124 +83,65 @@ inline std::uint64_t Cycles() {
 #endif
 }
 
-namespace internal {
-inline std::atomic<bool> g_enabled{false};
-}  // namespace internal
-
-/// The runtime switch. Off (default): every probe costs one predicted
-/// branch. Flip it around a measured region; per-thread counts accumulate
-/// until ResetAll().
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
-inline void SetEnabled(bool on) {
-  internal::g_enabled.store(on, std::memory_order_relaxed);
-}
-
-/// Owns every thread's block for the lifetime of the process (blocks of
-/// finished threads are retained so their counts stay in the aggregate).
-/// Leaked singleton: probes must stay valid during static destruction.
-class Registry {
- public:
-  static Registry& Instance() {
-    static Registry* instance = new Registry;  // intentionally leaked
-    return *instance;
-  }
-
-  /// Creates and adopts the calling thread's block.
-  ThreadBlock* Attach() {
-    auto block = std::make_unique<ThreadBlock>();
-    ThreadBlock* raw = block.get();
-    std::lock_guard<std::mutex> lock(mutex_);
-    blocks_.push_back(std::move(block));
-    return raw;
-  }
-
-  /// Sum of every thread's counters. Call only while instrumented threads
-  /// are quiescent (see ThreadBlock).
-  std::array<Counter, kMetricCount> Aggregate() const {
-    std::array<Counter, kMetricCount> total{};
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& block : blocks_) {
-      for (std::size_t i = 0; i < kMetricCount; ++i) {
-        const Counter& c = block->counters[i];
-        total[i].calls += c.calls;
-        total[i].cycles += c.cycles;
-        if (c.max_cycles > total[i].max_cycles) {
-          total[i].max_cycles = c.max_cycles;
-        }
-      }
-    }
-    return total;
-  }
-
-  /// The scenario reset hook: zeroes every thread's block so successive
-  /// scenarios in one process start from a clean slate instead of
-  /// inheriting the previous run's counts. Same quiescence requirement as
-  /// Aggregate().
-  void ResetAll() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& block : blocks_) block->counters.fill(Counter{});
-  }
-
- private:
-  Registry() = default;
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<ThreadBlock>> blocks_;
-};
-
-inline ThreadBlock& LocalBlock() {
-  thread_local ThreadBlock* block = Registry::Instance().Attach();
-  return *block;
-}
-
-/// Convenience forwarders for the common calls.
-inline std::array<Counter, kMetricCount> Aggregate() {
-  return Registry::Instance().Aggregate();
-}
-inline void ResetAll() { Registry::Instance().ResetAll(); }
-
 /// Counting probe body (untimed): one branch off, branch + increment on.
 inline void Count(Metric metric) {
-  if (!Enabled()) return;
-  ++LocalBlock().counters[static_cast<std::size_t>(metric)].calls;
+  if (!Plane::Enabled()) return;
+  ++Plane::Local()[static_cast<std::size_t>(metric)].calls;
 }
 
-/// Records one timed sample (used by Timer; callable directly when the
-/// caller already has a cycle delta).
-inline void Record(Metric metric, std::uint64_t cycles) {
-  if (!Enabled()) return;
-  Counter& c = LocalBlock().counters[static_cast<std::size_t>(metric)];
+/// Records one timed sample of `cycles` total, `self_cycles` of them spent
+/// outside nested scopes.
+inline void Record(Metric metric, std::uint64_t cycles,
+                   std::uint64_t self_cycles) {
+  if (!Plane::Enabled()) return;
+  Counter& c = Plane::Local()[static_cast<std::size_t>(metric)];
   ++c.calls;
   c.cycles += cycles;
+  c.self_cycles += self_cycles;
   if (cycles > c.max_cycles) c.max_cycles = cycles;
 }
 
 /// RAII timed probe: samples Cycles() on entry and exit. The enabled check
 /// happens once, at construction — flipping the switch mid-scope loses or
-/// keeps that one sample, never corrupts.
+/// keeps that one sample, never corrupts. An armed Timer links itself onto
+/// its thread's scope stack and charges its total to the enclosing armed
+/// Timer, which subtracts it from its own self time.
 class Timer {
  public:
-  explicit Timer(Metric metric) : metric_(metric), armed_(Enabled()) {
-    if (armed_) start_ = Cycles();
+  explicit Timer(Metric metric) : metric_(metric), armed_(Plane::Enabled()) {
+    if (!armed_) return;
+    parent_ = current_;
+    current_ = this;
+    child_cycles_ = 0;
+    start_ = Cycles();
   }
   ~Timer() {
-    if (armed_) Record(metric_, Cycles() - start_);
+    if (!armed_) return;
+    const std::uint64_t total = Cycles() - start_;
+    current_ = parent_;
+    if (parent_ != nullptr) parent_->child_cycles_ += total;
+    Record(metric_, total, total > child_cycles_ ? total - child_cycles_ : 0);
   }
   Timer(const Timer&) = delete;
   Timer& operator=(const Timer&) = delete;
 
  private:
+  static inline thread_local Timer* current_ = nullptr;
+
+  // Only an armed Timer sets (and reads) the fields below, so the off path
+  // costs the flag load and nothing else.
   Metric metric_;
   bool armed_;
-  std::uint64_t start_ = 0;
+  Timer* parent_;
+  std::uint64_t child_cycles_;
+  std::uint64_t start_;
 };
 
 }  // namespace viator::telemetry::perf
 
-// The probe macros instrumented code uses. With VIATOR_PERF_COUNTERS=0 they
-// expand to nothing at all — the compiled-out contract.
-#if VIATOR_PERF_COUNTERS
+// The probe macros instrumented code uses. With VIATOR_PLANES=0 they expand
+// to nothing at all — the compiled-out contract.
+#if VIATOR_PLANES
 #define VIATOR_PERF_CAT2(a, b) a##b
 #define VIATOR_PERF_CAT(a, b) VIATOR_PERF_CAT2(a, b)
 #define VIATOR_PERF_SCOPE(metric)                    \

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "base/strings.h"
-#include "telemetry/mem_stats.h"
+#include "telemetry/plane_stats.h"
 
 namespace viator::telemetry {
 

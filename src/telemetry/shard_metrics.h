@@ -53,7 +53,7 @@ struct ShardWindowSample {
   /// delivery quantiles over the shuttles this shard delivered during the
   /// window, in simulated nanoseconds, and how many deliveries the fold
   /// covers. Pure sim-time arithmetic — deterministic across thread counts,
-  /// pinned by bench_latency, drawn as Perfetto counter tracks. All zero
+  /// pinned by bench_planes, drawn as Perfetto counter tracks. All zero
   /// when the latency plane is off or nothing was delivered.
   std::uint64_t lat_p50_ns = 0;
   std::uint64_t lat_p95_ns = 0;

@@ -235,10 +235,10 @@ TEST(GenesisResume, LatencySketchesSurviveSnapshotRestore) {
   // per-(stage, class) sketch and the window delivery sketch round-trip
   // bit-identically (open flights are deliberately not captured — a
   // quiescent boundary has none worth keeping).
-  telemetry::lat::SetEnabled(true);
+  telemetry::lat::Plane::SetEnabled(true);
   Replica source;
   Drive(source, 0, 40);
-  telemetry::lat::SetEnabled(false);
+  telemetry::lat::Plane::SetEnabled(false);
   const telemetry::lat::Lane& lane = source.network->lat_lane();
   EXPECT_GT(lane.DeliveredCount(), 0u);
 

@@ -509,10 +509,10 @@ TEST(MemGrowth, ObserveBlockSweepsEveryDomain) {
   config.consecutive_windows = 2;
   config.slack_bytes = 100;
   health::MemGrowthDetector detector(config);
-  telemetry::mem::ThreadBlock block{};
-  auto& shuttle = block.counters[static_cast<std::size_t>(
+  telemetry::mem::Plane::Block block{};
+  auto& shuttle = block[static_cast<std::size_t>(
       telemetry::mem::Domain::kShuttlePool)];
-  auto& mailbox = block.counters[static_cast<std::size_t>(
+  auto& mailbox = block[static_cast<std::size_t>(
       telemetry::mem::Domain::kMailbox)];
   for (int window = 0; window < 3; ++window) {
     shuttle.live_bytes += 4096;

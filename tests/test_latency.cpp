@@ -4,7 +4,8 @@
 // cross-shard continuity, window folds, worst-K exemplars, probe guards)
 // and the SLO burn detector's episode grammar. The end-to-end claims —
 // replay neutrality, thread-count bucket-exactness, overhead — are
-// bench_latency's gates; everything here is the pure logic underneath them.
+// bench_planes' latency gates; everything here is the pure logic underneath
+// them.
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -279,21 +280,21 @@ struct FakeShuttle {
 };
 
 TEST(LatencyProbes, DisabledOrNullLaneIsInert) {
-  lat::SetEnabled(false);
+  lat::Plane::SetEnabled(false);
   lat::Lane lane;
   FakeShuttle shuttle;
   VIATOR_LAT_BIRTH(&lane, shuttle, 100);
   EXPECT_EQ(shuttle.lat_id, 0u);  // no flight id assigned while off
   EXPECT_EQ(lane.open_flights(), 0u);
 
-  lat::SetEnabled(true);
+  lat::Plane::SetEnabled(true);
   VIATOR_LAT_BIRTH(static_cast<lat::Lane*>(nullptr), shuttle, 100);
   EXPECT_EQ(shuttle.lat_id, 0u);  // null lane: untouched
-  lat::SetEnabled(false);
+  lat::Plane::SetEnabled(false);
 }
 
 TEST(LatencyProbes, BirthAssignsOnceAndTerminalsClose) {
-  lat::SetEnabled(true);
+  lat::Plane::SetEnabled(true);
   lat::Lane lane;
   FakeShuttle shuttle;
   shuttle.header.kind = 5;
@@ -315,7 +316,7 @@ TEST(LatencyProbes, BirthAssignsOnceAndTerminalsClose) {
   VIATOR_LAT_BIRTH(&lane, lost, 50);
   VIATOR_LAT_LOST(&lane, lost.lat_id, 60);
   EXPECT_EQ(lane.DroppedCount(), 1u);
-  lat::SetEnabled(false);
+  lat::Plane::SetEnabled(false);
 }
 
 // ---- SLO burn episodes ------------------------------------------------------

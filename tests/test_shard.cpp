@@ -24,7 +24,7 @@
 #include "shard/plan.h"
 #include "shard/sharded_network.h"
 #include "telemetry/export.h"
-#include "telemetry/mem_stats.h"
+#include "telemetry/plane_stats.h"
 #include "telemetry/perf_counters.h"
 #include "telemetry/shard_metrics.h"
 
@@ -448,7 +448,7 @@ TEST(ShardMetrics, PrometheusExportMatchesGoldenFile) {
   // Memory-plane gauges under the same exporter: one domain with synthetic
   // traffic (the other domains pin their zero rows), plus fixed proc.*
   // values — the scrape-name contract for the Memory Observatory.
-  std::array<telemetry::mem::Counter, telemetry::mem::kDomainCount> mem{};
+  telemetry::mem::Plane::Block mem{};
   mem[static_cast<std::size_t>(telemetry::mem::Domain::kShuttlePool)] = {
       .live_bytes = 1536,
       .peak_bytes = 2560,
@@ -678,15 +678,15 @@ TEST(ShardObservatory, CountersAreReplayNeutral) {
   config.hash_every = 1;
   config.assignment = shard::GridRowBands(8, 8, 4);
 
-  telemetry::perf::ResetAll();
-  telemetry::perf::SetEnabled(false);
+  telemetry::perf::Plane::ResetAll();
+  telemetry::perf::Plane::SetEnabled(false);
   shard::ShardedNetwork quiet(grid, config);
   RunReferenceWorkload(quiet);
 
-  telemetry::perf::SetEnabled(true);
+  telemetry::perf::Plane::SetEnabled(true);
   shard::ShardedNetwork counted(grid, config);
   RunReferenceWorkload(counted);
-  telemetry::perf::SetEnabled(false);
+  telemetry::perf::Plane::SetEnabled(false);
 
   EXPECT_EQ(quiet.journal().rolling_digest(),
             counted.journal().rolling_digest());
@@ -694,7 +694,7 @@ TEST(ShardObservatory, CountersAreReplayNeutral) {
   ASSERT_EQ(quiet.journal().window_hashes().size(),
             counted.journal().window_hashes().size());
   // And the counted run actually counted something.
-  const auto aggregate = telemetry::perf::Aggregate();
+  const auto aggregate = telemetry::perf::Plane::Aggregate();
   using telemetry::perf::Metric;
   EXPECT_GT(aggregate[static_cast<std::size_t>(Metric::kSimDispatch)].calls,
             0u);
@@ -706,7 +706,7 @@ TEST(ShardObservatory, CountersAreReplayNeutral) {
   // (the sequential reference path never waits on the barrier).
   EXPECT_GT(aggregate[static_cast<std::size_t>(Metric::kBarrierWait)].calls,
             0u);
-  telemetry::perf::ResetAll();
+  telemetry::perf::Plane::ResetAll();
 }
 
 TEST(PerfCounters, ResetPerScenario) {
@@ -714,8 +714,8 @@ TEST(PerfCounters, ResetPerScenario) {
   // across successive ReplayWorld scenarios in one process, so the second
   // scenario's report included the first's probe counts. Constructing a
   // populated ReplayWorld must reset the process-wide blocks.
-  telemetry::perf::ResetAll();
-  telemetry::perf::SetEnabled(true);
+  telemetry::perf::Plane::ResetAll();
+  telemetry::perf::Plane::SetEnabled(true);
   replay::ScenarioConfig scenario;
   scenario.rows = 4;
   scenario.cols = 4;
@@ -724,14 +724,14 @@ TEST(PerfCounters, ResetPerScenario) {
     replay::ReplayWorld world(scenario);
     world.RunToStep(3);
   }
-  telemetry::perf::SetEnabled(false);
+  telemetry::perf::Plane::SetEnabled(false);
   using telemetry::perf::Metric;
-  const auto first = telemetry::perf::Aggregate();
+  const auto first = telemetry::perf::Plane::Aggregate();
   EXPECT_GT(first[static_cast<std::size_t>(Metric::kRngDraw)].calls, 0u);
 
   // The second scenario starts from zero, not from the first's counts.
   replay::ReplayWorld fresh(scenario);
-  const auto after = telemetry::perf::Aggregate();
+  const auto after = telemetry::perf::Plane::Aggregate();
   EXPECT_EQ(after[static_cast<std::size_t>(Metric::kRngDraw)].calls, 0u);
   EXPECT_EQ(after[static_cast<std::size_t>(Metric::kSimDispatch)].calls, 0u);
 }

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/wandering_network.h"
@@ -16,8 +18,7 @@
 #include "sim/simulator.h"
 #include "telemetry/bench_report.h"
 #include "telemetry/export.h"
-#include "telemetry/perf_counters.h"
-#include "telemetry/perf_stats.h"
+#include "telemetry/plane_stats.h"
 #include "telemetry/profiler.h"
 #include "telemetry/span.h"
 #include "telemetry/telemetry.h"
@@ -553,45 +554,161 @@ TEST(Export, ShardTimelineSuccessiveWindowsAbut) {
   EXPECT_NE(out.str().find("\"ts\":5.500"), std::string::npos);
 }
 
+// ---- Shared plane core ------------------------------------------------------
+
+TEST(PlaneCore, CrossThreadBlocksMergeAndReset) {
+  namespace perf = telemetry::perf;
+  namespace mem = telemetry::mem;
+  using perf::Metric;
+  constexpr mem::Domain kPool = mem::Domain::kShuttlePool;
+  const auto merge = static_cast<std::size_t>(Metric::kMergeWindow);
+  const auto pool = static_cast<std::size_t>(kPool);
+  perf::Plane::ResetAll();
+  mem::Plane::ResetAll();
+  perf::Plane::SetEnabled(true);
+  mem::Plane::SetEnabled(true);
+
+  // One thread charges a pooled shell, another releases it: each writes
+  // only its own block.
+  std::thread charger([] {
+    perf::Record(Metric::kMergeWindow, 700, 700);
+    mem::OnAlloc(kPool, 4096);
+  });
+  charger.join();
+  std::int64_t releaser_live = 0;
+  std::thread releaser([&] {
+    perf::Record(Metric::kMergeWindow, 100, 100);
+    mem::OnFree(kPool, 4096);
+    releaser_live = mem::Plane::Local()[pool].live_bytes;
+  });
+  releaser.join();
+  perf::Plane::SetEnabled(false);
+  mem::Plane::SetEnabled(false);
+
+  // Perf sums calls and cycles, and takes the max of max_cycles.
+  const perf::Counter cycles = perf::Plane::Aggregate()[merge];
+  EXPECT_EQ(cycles.calls, 2u);
+  EXPECT_EQ(cycles.cycles, 800u);
+  EXPECT_EQ(cycles.self_cycles, 800u);
+  EXPECT_EQ(cycles.max_cycles, 700u);
+
+  // The releasing thread's block alone is negative; the sum nets to zero.
+  EXPECT_EQ(releaser_live, -4096);
+  const mem::Counter bytes = mem::Plane::Aggregate()[pool];
+  EXPECT_EQ(bytes.live_bytes, 0);
+  EXPECT_EQ(bytes.peak_bytes, 4096);
+  EXPECT_EQ(bytes.allocs, 1u);
+  EXPECT_EQ(bytes.frees, 1u);
+  EXPECT_EQ(bytes.alloc_bytes, 4096u);
+  EXPECT_EQ(bytes.free_bytes, 4096u);
+
+  // Both writers have exited, but their blocks stay registered: ResetAll
+  // must zero them too.
+  perf::Plane::ResetAll();
+  mem::Plane::ResetAll();
+  EXPECT_EQ(perf::Plane::Aggregate()[merge].calls, 0u);
+  EXPECT_EQ(perf::Plane::Aggregate()[merge].max_cycles, 0u);
+  EXPECT_EQ(mem::Plane::Aggregate()[pool].allocs, 0u);
+  EXPECT_EQ(mem::Plane::Aggregate()[pool].peak_bytes, 0);
+}
+
 // ---- Perf counter stats publication -----------------------------------------
 
-TEST(PerfStats, PublishAndFormatFiredProbes) {
-  telemetry::perf::ResetAll();
-  telemetry::perf::SetEnabled(true);
-  { VIATOR_PERF_SCOPE(kSimDispatch); }
-  { VIATOR_PERF_SCOPE(kSimDispatch); }
-  VIATOR_PERF_COUNT(kRngDraw);
-  telemetry::perf::SetEnabled(false);
+/// Busy-waits about `ticks` cycle-clock ticks so every timed scope below has
+/// a nonzero self time.
+void SpinTicks(std::uint64_t ticks) {
+  const std::uint64_t start = telemetry::perf::Cycles();
+  while (telemetry::perf::Cycles() - start < ticks) {
+  }
+}
 
+TEST(PerfStats, PublishAndFormatFiredProbes) {
+  using telemetry::perf::Metric;
+  telemetry::perf::Plane::ResetAll();
+  telemetry::perf::Plane::SetEnabled(true);
+  {
+    // Three levels of nesting under one outer scope, the shape of
+    // executor_window > sim_dispatch > route_next_hop.
+    VIATOR_PERF_SCOPE(kExecutorWindow);
+    for (int i = 0; i < 2; ++i) {
+      VIATOR_PERF_SCOPE(kSimDispatch);
+      {
+        VIATOR_PERF_SCOPE(kRouteNextHop);
+        SpinTicks(20000);
+      }
+      SpinTicks(20000);
+    }
+    SpinTicks(20000);
+  }
+  VIATOR_PERF_COUNT(kRngDraw);
+  telemetry::perf::Plane::SetEnabled(false);
+
+  const auto aggregate = telemetry::perf::Plane::Aggregate();
   sim::StatsRegistry stats;
-  telemetry::PublishPerfStats(stats);
+  telemetry::PublishPerfStats(stats, aggregate);
   ASSERT_TRUE(stats.gauges().contains("perf.sim_dispatch.calls"));
   EXPECT_EQ(stats.gauges().at("perf.sim_dispatch.calls").value(), 2.0);
   EXPECT_EQ(stats.gauges().at("perf.rng_draw.calls").value(), 1.0);
   // Publication is Set(), not Add(): publishing twice must not double.
-  telemetry::PublishPerfStats(stats);
+  telemetry::PublishPerfStats(stats, aggregate);
   EXPECT_EQ(stats.gauges().at("perf.sim_dispatch.calls").value(), 2.0);
 
-  const std::string report = telemetry::FormatPerfReport();
+  // Self cycles partition the outer scope's total exactly: nothing nested
+  // is counted twice.
+  const telemetry::perf::Counter& outer =
+      aggregate[static_cast<std::size_t>(Metric::kExecutorWindow)];
+  std::uint64_t self_sum = 0;
+  for (const telemetry::perf::Counter& c : aggregate) {
+    EXPECT_LE(c.self_cycles, c.cycles);
+    self_sum += c.self_cycles;
+  }
+  EXPECT_EQ(self_sum, outer.cycles);
+  EXPECT_LT(outer.self_cycles, outer.cycles);
+  EXPECT_EQ(stats.gauges().at("perf.executor_window.self_cycles").value(),
+            static_cast<double>(outer.self_cycles));
+
+  const std::string report = telemetry::FormatPerfReport(aggregate);
   EXPECT_NE(report.find("perf.sim_dispatch"), std::string::npos);
   EXPECT_NE(report.find("perf.rng_draw"), std::string::npos);
   // Zero-call probes are omitted from the table.
   EXPECT_EQ(report.find("perf.mailbox_drain"), std::string::npos);
-  telemetry::perf::ResetAll();
+  // The share column sums to 100% (each row rounds to 0.1%), and the outer
+  // scope's share is its self share, not its inclusive total.
+  std::istringstream lines(report);
+  std::string line;
+  double share_sum = 0.0;
+  std::size_t rows = 0;
+  while (std::getline(lines, line)) {
+    if (line.rfind("perf.", 0) != 0) continue;
+    const double share = std::strtod(line.substr(line.rfind(' ')).c_str(),
+                                     nullptr);
+    share_sum += share;
+    ++rows;
+    if (line.rfind("perf.executor_window", 0) == 0) {
+      EXPECT_NEAR(share,
+                  100.0 * static_cast<double>(outer.self_cycles) /
+                      static_cast<double>(outer.cycles),
+                  0.051);
+    }
+  }
+  EXPECT_EQ(rows, 4u);
+  EXPECT_NEAR(share_sum, 100.0, 0.05 * static_cast<double>(rows));
+  telemetry::perf::Plane::ResetAll();
 }
 
 TEST(PerfStats, EmptyAggregateFormatsPlaceholder) {
-  telemetry::perf::ResetAll();
-  const std::string report = telemetry::FormatPerfReport();
+  telemetry::perf::Plane::ResetAll();
+  const std::string report =
+      telemetry::FormatPerfReport(telemetry::perf::Plane::Aggregate());
   EXPECT_NE(report.find("no probes fired"), std::string::npos);
 }
 
 TEST(PerfStats, RuntimeSwitchGatesProbes) {
-  telemetry::perf::ResetAll();
-  telemetry::perf::SetEnabled(false);
+  telemetry::perf::Plane::ResetAll();
+  telemetry::perf::Plane::SetEnabled(false);
   { VIATOR_PERF_SCOPE(kMergeWindow); }
   VIATOR_PERF_COUNT(kRngDraw);
-  const auto aggregate = telemetry::perf::Aggregate();
+  const auto aggregate = telemetry::perf::Plane::Aggregate();
   using telemetry::perf::Metric;
   EXPECT_EQ(aggregate[static_cast<std::size_t>(Metric::kMergeWindow)].calls,
             0u);

@@ -417,6 +417,13 @@ struct BinOpCase {
   std::int64_t a, b, expected;
 };
 
+// Without this, gtest prints the case's raw bytes — including the
+// mnemonic's pointer, which moves with every load address — and the
+// discovered ctest names would change from run to run.
+void PrintTo(const BinOpCase& c, std::ostream* os) {
+  *os << c.mnemonic << "(" << c.a << ", " << c.b << ")";
+}
+
 class BinOpSweep : public ::testing::TestWithParam<BinOpCase> {};
 
 TEST_P(BinOpSweep, MatchesExpected) {

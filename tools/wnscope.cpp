@@ -53,9 +53,7 @@
 #include "shard/sharded_network.h"
 #include "sim/simulator.h"
 #include "telemetry/export.h"
-#include "telemetry/lat_stats.h"
-#include "telemetry/mem_stats.h"
-#include "telemetry/perf_stats.h"
+#include "telemetry/plane_stats.h"
 
 namespace {
 
@@ -151,157 +149,164 @@ int RunRecord(const std::string& out_dir) {
   return 0;
 }
 
-/// Seeded sharded demo with a deliberately hot band: a 16x16 grid cut into 4
-/// row bands, with traffic skewed into band 2, so the straggler report and
-/// the Perfetto timeline have something visible to say.
-int RunTimeline(const std::string& out_dir) {
-  constexpr std::uint64_t kSeed = 515151;
-  net::Topology global = net::MakeGrid(16, 16);
-  shard::ShardedConfig config;
+/// One seeded demo run of the sharded core, shared by `timeline`, `mem` and
+/// `latency`: a side x side grid cut into 4 row bands, `rounds` rounds of
+/// `load` injections, each followed by 4 barrier windows, then a drain.
+struct Demo {
+  std::uint64_t seed;
+  std::uint64_t traffic_salt;
+  std::uint64_t side;
+  std::size_t threads;  // 0 = hardware concurrency
+  int rounds;
+  int load;
+  /// Three of four shuttles stay inside band 2: the injected imbalance the
+  /// straggler report must name.
+  bool hot_band;
+  /// A draw with dst == src is re-aimed at lo + (dst - lo + 1) % retarget.
+  std::uint64_t retarget;
+  /// A telemetry::PlaneSet. Bytes and latency are switched on before the
+  /// build so construction is attributed; cycles only time the traffic.
+  unsigned planes;
+};
+
+/// Drives `demo` and calls `on_window(world)` after every barrier window
+/// (the drain counts as one); returns `on_done(world)`, run while the world
+/// and the planes are still live.
+template <typename OnWindow, typename OnDone>
+int RunDemo(const Demo& demo, shard::ShardedConfig config,
+            OnWindow on_window, OnDone on_done) {
+  telemetry::perf::Plane::ResetAll();
+  telemetry::mem::Plane::ResetAll();
+  telemetry::SwitchPlanes(demo.planes & ~telemetry::kPerfPlane);
   config.shard_count = 4;
-  config.threads = 0;  // hardware concurrency: a real parallel timeline
-  config.seed = kSeed;
-  config.assignment = shard::GridRowBands(16, 16, 4);
-  shard::ShardedNetwork world(global, config);
-
-  telemetry::perf::SetEnabled(true);
-  Rng traffic(kSeed ^ 0xabcdef);
-  for (int round = 0; round < 24; ++round) {
-    for (int i = 0; i < 64; ++i) {
-      // Three of four shuttles live entirely inside band 2 (rows 8..11):
-      // the injected imbalance the report must name.
-      const bool hot = (i % 4) != 0;
-      const std::uint64_t lo = hot ? 8 * 16 : 0;
-      const std::uint64_t hi = hot ? 12 * 16 - 1 : 255;
-      const auto src = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      auto dst = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
-      if (dst == src) dst = static_cast<net::NodeId>(lo + (dst - lo + 1) % 16);
-      (void)world.Inject(src, dst, {round, i}, round * 100 + i + 1);
-    }
-    world.RunWindows(4);
-  }
-  world.RunUntilQuiescent();
-  telemetry::perf::SetEnabled(false);
-
-  std::ofstream timeline_out(out_dir + "/timeline.json");
-  std::ofstream prom_out(out_dir + "/shard_metrics.prom");
-  if (!timeline_out || !prom_out) {
-    std::cerr << "wnscope: cannot write into " << out_dir << "\n";
-    return 1;
-  }
-  telemetry::WriteShardTimelineJson(world.observatory(), timeline_out);
-  telemetry::PublishPerfStats(world.stats());
-  telemetry::WritePrometheusText(world.stats(), prom_out);
-
-  const telemetry::StragglerReport report = world.observatory().Report();
-  std::cout << report.Format() << "\n"
-            << telemetry::FormatPerfReport() << "recorded "
-            << world.observatory().windows().size() << " of "
-            << report.windows << " windows into " << out_dir
-            << "/timeline.json (load in ui.perfetto.dev)\n";
-  telemetry::perf::ResetAll();
-  return 0;
-}
-
-/// Seeded single-threaded sharded demo with the memory plane enabled before
-/// the world is built (construction-time pool growth is attributed too).
-/// Single-threaded so the summed per-thread peaks are the exact peaks.
-int RunMem(const std::string& out_dir) {
-  constexpr std::uint64_t kSeed = 616161;
-  telemetry::mem::ResetAll();
-  telemetry::mem::SetEnabled(true);
-
-  net::Topology global = net::MakeGrid(12, 12);
-  shard::ShardedConfig config;
-  config.shard_count = 4;
-  config.threads = 1;
-  config.seed = kSeed;
-  config.assignment = shard::GridRowBands(12, 12, 4);
+  config.threads = demo.threads;
+  config.seed = demo.seed;
+  config.assignment = shard::GridRowBands(demo.side, demo.side, 4);
   int rc = 0;
   {
+    net::Topology global = net::MakeGrid(demo.side, demo.side);
     shard::ShardedNetwork world(global, config);
-    Rng traffic(kSeed ^ 0x5eed);
-    for (int round = 0; round < 16; ++round) {
-      for (int i = 0; i < 48; ++i) {
-        const auto src = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        auto dst = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        if (dst == src) dst = static_cast<net::NodeId>((dst + 1) % 144);
-        (void)world.Inject(src, dst, {round, i}, round * 100 + i + 1);
-      }
-      world.RunWindows(4);
-    }
-    world.RunUntilQuiescent();
-
-    const auto aggregate = telemetry::mem::Aggregate();
-    const std::uint64_t maxrss = telemetry::ReadMaxRssBytes();
-    telemetry::PublishMemStats(world.stats(), aggregate);
-    telemetry::PublishProcStats(world.stats(), telemetry::ReadRssBytes(),
-                                maxrss);
-    std::ofstream prom_out(out_dir + "/mem.prom");
-    std::ofstream report_out(out_dir + "/mem.txt");
-    if (!prom_out || !report_out) {
-      std::cerr << "wnscope: cannot write into " << out_dir << "\n";
-      rc = 1;
-    } else {
-      telemetry::WritePrometheusText(world.stats(), prom_out);
-      const std::string report = telemetry::FormatMemReport(aggregate, maxrss);
-      report_out << report;
-      std::cout << report << "wrote " << out_dir << "/mem.prom and "
-                << out_dir << "/mem.txt\n";
-    }
-  }
-  telemetry::mem::SetEnabled(false);
-  telemetry::mem::ResetAll();
-  return rc;
-}
-
-/// Seeded single-threaded sharded demo with the latency plane and tracing
-/// enabled: windows are stepped one at a time so every barrier fold's
-/// worst-delivery exemplars are harvested, then the per-stage quantile table
-/// (merged across shards) is printed next to a worst-K tail drill-down. Each
-/// drill-down row carries the exemplar's trace id — resolved against the
-/// shards' span collectors right here, the same join `bench_latency` gates —
-/// and its birth sim-time, the coordinate `wnreplay seek` travels to.
-int RunLatency(const std::string& out_dir) {
-  constexpr std::uint64_t kSeed = 717171;
-  namespace lat = telemetry::lat;
-  lat::SetEnabled(true);
-
-  net::Topology global = net::MakeGrid(12, 12);
-  shard::ShardedConfig config;
-  config.shard_count = 4;
-  config.threads = 1;
-  config.seed = kSeed;
-  config.assignment = shard::GridRowBands(12, 12, 4);
-  config.wn.telemetry.enable_tracing = true;
-  // Keep the whole run's spans alive so every drill-down trace resolves.
-  config.wn.telemetry.span_capacity = 1 << 18;
-  int rc = 0;
-  {
-    shard::ShardedNetwork world(global, config);
-    Rng traffic(kSeed ^ 0x1a7e);
-    std::vector<lat::Exemplar> tail;
-    const auto harvest = [&] {
-      for (std::uint32_t shard = 0; shard < world.shard_count(); ++shard) {
-        const lat::Lane::WindowStats& fold = world.LatencyWindow(shard);
-        tail.insert(tail.end(), fold.worst.begin(), fold.worst.end());
-      }
-    };
-    for (int round = 0; round < 16; ++round) {
-      for (int i = 0; i < 48; ++i) {
-        const auto src = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        auto dst = static_cast<net::NodeId>(traffic.UniformInt(0, 143));
-        if (dst == src) dst = static_cast<net::NodeId>((dst + 1) % 144);
+    telemetry::SwitchPlanes(demo.planes);
+    const std::uint64_t nodes = demo.side * demo.side;
+    const std::uint64_t band_rows = demo.side / 4;
+    Rng traffic(demo.seed ^ demo.traffic_salt);
+    for (int round = 0; round < demo.rounds; ++round) {
+      for (int i = 0; i < demo.load; ++i) {
+        const bool hot = demo.hot_band && (i % 4) != 0;
+        const std::uint64_t lo = hot ? 2 * band_rows * demo.side : 0;
+        const std::uint64_t hi = hot ? 3 * band_rows * demo.side - 1
+                                     : nodes - 1;
+        const auto src = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
+        auto dst = static_cast<net::NodeId>(traffic.UniformInt(lo, hi));
+        if (dst == src) {
+          dst = static_cast<net::NodeId>(lo + (dst - lo + 1) % demo.retarget);
+        }
         (void)world.Inject(src, dst, {round, i}, round * 100 + i + 1);
       }
       for (int window = 0; window < 4; ++window) {
         world.RunWindows(1);
-        harvest();
+        on_window(world);
       }
     }
     world.RunUntilQuiescent();
-    harvest();
+    on_window(world);
+    rc = on_done(world);
+  }
+  telemetry::SwitchPlanes(telemetry::kNoPlanes);
+  telemetry::perf::Plane::ResetAll();
+  telemetry::mem::Plane::ResetAll();
+  return rc;
+}
 
+/// Opens `<dir>/<a>` and `<dir>/<b>` for writing; false (after a message)
+/// when either cannot be opened.
+bool OpenPair(const std::string& dir, const char* a, const char* b,
+              std::ofstream& out_a, std::ofstream& out_b) {
+  out_a.open(dir + "/" + a);
+  out_b.open(dir + "/" + b);
+  if (out_a && out_b) return true;
+  std::cerr << "wnscope: cannot write into " << dir << "\n";
+  return false;
+}
+
+/// Parallel timeline: a 16x16 grid with a deliberately hot band 2 at
+/// hardware concurrency, so the straggler report and the Perfetto timeline
+/// have something visible to say.
+int RunTimeline(const std::string& out_dir) {
+  const Demo demo{515151, 0xabcdef, 16, 0, 24, 64, true, 16,
+                  telemetry::kPerfPlane};
+  return RunDemo(demo, {}, [](shard::ShardedNetwork&) {},
+                 [&](shard::ShardedNetwork& world) {
+    std::ofstream timeline_out;
+    std::ofstream prom_out;
+    if (!OpenPair(out_dir, "timeline.json", "shard_metrics.prom",
+                  timeline_out, prom_out)) {
+      return 1;
+    }
+    const auto aggregate = telemetry::perf::Plane::Aggregate();
+    telemetry::WriteShardTimelineJson(world.observatory(), timeline_out);
+    telemetry::PublishPerfStats(world.stats(), aggregate);
+    telemetry::WritePrometheusText(world.stats(), prom_out);
+    const telemetry::StragglerReport report = world.observatory().Report();
+    std::cout << report.Format() << "\n"
+              << telemetry::FormatPerfReport(aggregate) << "recorded "
+              << world.observatory().windows().size() << " of "
+              << report.windows << " windows into " << out_dir
+              << "/timeline.json (load in ui.perfetto.dev)\n";
+    return 0;
+  });
+}
+
+/// Memory attribution: a single-threaded 12x12 demo with the byte plane on
+/// before the world is built (construction-time pool growth is attributed
+/// too). Single-threaded so the summed per-thread peaks are the exact peaks.
+int RunMem(const std::string& out_dir) {
+  const Demo demo{616161, 0x5eed, 12, 1, 16, 48, false, 144,
+                  telemetry::kMemPlane};
+  return RunDemo(demo, {}, [](shard::ShardedNetwork&) {},
+                 [&](shard::ShardedNetwork& world) {
+    const auto aggregate = telemetry::mem::Plane::Aggregate();
+    const std::uint64_t maxrss = telemetry::ReadMaxRssBytes();
+    telemetry::PublishMemStats(world.stats(), aggregate);
+    telemetry::PublishProcStats(world.stats(), telemetry::ReadRssBytes(),
+                                maxrss);
+    std::ofstream prom_out;
+    std::ofstream report_out;
+    if (!OpenPair(out_dir, "mem.prom", "mem.txt", prom_out, report_out)) {
+      return 1;
+    }
+    telemetry::WritePrometheusText(world.stats(), prom_out);
+    const std::string report = telemetry::FormatMemReport(aggregate, maxrss);
+    report_out << report;
+    std::cout << report << "wrote " << out_dir << "/mem.prom and " << out_dir
+              << "/mem.txt\n";
+    return 0;
+  });
+}
+
+/// Latency drill-down: a single-threaded 12x12 demo with the latency plane
+/// and tracing on. Every barrier fold's worst-delivery exemplars are
+/// harvested, then the per-stage quantile table (merged across shards) is
+/// printed next to a worst-K tail drill-down. Each drill-down row carries
+/// the exemplar's trace id — resolved against the shards' span collectors
+/// right here, the same join `bench_planes` gates — and its birth sim-time,
+/// the coordinate `wnreplay seek` travels to.
+int RunLatency(const std::string& out_dir) {
+  namespace lat = telemetry::lat;
+  const Demo demo{717171, 0x1a7e, 12, 1, 16, 48, false, 144,
+                  telemetry::kLatPlane};
+  shard::ShardedConfig config;
+  config.wn.telemetry.enable_tracing = true;
+  // Keep the whole run's spans alive so every drill-down trace resolves.
+  config.wn.telemetry.span_capacity = 1 << 18;
+  std::vector<lat::Exemplar> tail;
+  const auto harvest = [&](shard::ShardedNetwork& world) {
+    for (std::uint32_t shard = 0; shard < world.shard_count(); ++shard) {
+      const lat::Lane::WindowStats& fold = world.LatencyWindow(shard);
+      tail.insert(tail.end(), fold.worst.begin(), fold.worst.end());
+    }
+  };
+  return RunDemo(demo, config, harvest, [&](shard::ShardedNetwork& world) {
     lat::Lane merged;
     for (std::uint32_t shard = 0; shard < world.shard_count(); ++shard) {
       world.shard_network(shard).lat_lane().MergeInto(merged);
@@ -334,23 +339,20 @@ int RunLatency(const std::string& out_dir) {
     }
 
     telemetry::PublishLatStats(world.stats(), merged);
-    std::ofstream prom_out(out_dir + "/lat.prom");
-    std::ofstream report_out(out_dir + "/lat.txt");
-    if (!prom_out || !report_out) {
-      std::cerr << "wnscope: cannot write into " << out_dir << "\n";
-      rc = 1;
-    } else {
-      telemetry::WritePrometheusText(world.stats(), prom_out);
-      const std::string report = telemetry::FormatLatReport(merged);
-      report_out << report;
-      std::cout << report << "worst tail exemplars:\n";
-      drill.Print(std::cout);
-      std::cout << "wrote " << out_dir << "/lat.prom and " << out_dir
-                << "/lat.txt\n";
+    std::ofstream prom_out;
+    std::ofstream report_out;
+    if (!OpenPair(out_dir, "lat.prom", "lat.txt", prom_out, report_out)) {
+      return 1;
     }
-  }
-  lat::SetEnabled(false);
-  return rc;
+    telemetry::WritePrometheusText(world.stats(), prom_out);
+    const std::string report = telemetry::FormatLatReport(merged);
+    report_out << report;
+    std::cout << report << "worst tail exemplars:\n";
+    drill.Print(std::cout);
+    std::cout << "wrote " << out_dir << "/lat.prom and " << out_dir
+              << "/lat.txt\n";
+    return 0;
+  });
 }
 
 int RunInspect(const std::string& path) {
