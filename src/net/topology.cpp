@@ -208,6 +208,52 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
   return row;
 }
 
+void Topology::RefreshAdjacency() const {
+  if (adj_gen_ == generation_) return;
+  adj_gen_ = generation_;
+  // clear() + push_back and resize() keep capacity, so once the arrays have
+  // seen their largest size a rebuild allocates nothing.
+  adj_offset_.resize(node_count_ + 1);
+  adj_.clear();
+  for (NodeId n = 0; n < node_count_; ++n) {
+    adj_offset_[n] = static_cast<std::uint32_t>(adj_.size());
+    if (!node_up_[n]) continue;
+    for (LinkId id : incident_[n]) {
+      const Link& l = links_[id];
+      if (!l.up) continue;
+      const NodeId other = l.a == n ? l.b : l.a;
+      if (node_up_[other]) adj_.push_back(other);
+    }
+  }
+  adj_offset_[node_count_] = static_cast<std::uint32_t>(adj_.size());
+  fifo_.resize(node_count_);
+}
+
+// `touch(u, v)` sees every up edge u->v of an expanded node in adjacency
+// order and returns true iff it newly marked v visited (then v is queued).
+// Each node is queued at most once, so node_count_ FIFO slots suffice.
+template <typename Touch>
+std::size_t Topology::Sweep(NodeId start, Touch touch) const {
+  RefreshAdjacency();
+  NodeId* const fifo = fifo_.data();
+  const std::uint32_t* const offset = adj_offset_.data();
+  const NodeId* const adj = adj_.data();
+  std::size_t head = 0;
+  std::size_t tail = 0;
+  fifo[tail++] = start;
+  while (head < tail) {
+    const NodeId u = fifo[head++];
+    // Bounds are read once: the labels `touch` writes are uint32_t too, so
+    // the compiler could not otherwise keep them in registers.
+    const std::uint32_t end = offset[u + 1];
+    for (std::uint32_t i = offset[u]; i < end; ++i) {
+      const NodeId v = adj[i];
+      if (touch(u, v)) fifo[tail++] = v;
+    }
+  }
+  return tail;
+}
+
 void Topology::FillRow(Topology::CacheRow& row, NodeId from) const {
   VIATOR_PERF_SCOPE(kRouteCacheFill);
   row.from = from;
@@ -217,24 +263,21 @@ void Topology::FillRow(Topology::CacheRow& row, NodeId from) const {
   if (row.first_hop.capacity() != before) {
     cache_bytes_.Add((row.first_hop.capacity() - before) * sizeof(NodeId));
   }
-  // One full BFS with first-hop label propagation. Expansion order and
-  // first-touch parent assignment are identical to ShortestPath(), so for
-  // every destination `d` the label equals ShortestPath(from, d)[1]; the
-  // early exit the per-pair query takes merely stops after the target's
-  // label is already fixed.
-  std::vector<NodeId> parent(node_count_, kInvalidNode);
-  std::deque<NodeId> frontier{from};
-  parent[from] = from;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (NodeId v : Neighbors(u)) {
-      if (parent[v] != kInvalidNode) continue;
-      parent[v] = u;
-      row.first_hop[v] = u == from ? v : row.first_hop[u];
-      frontier.push_back(v);
-    }
-  }
+  // One full BFS with first-hop label propagation. The adjacency lists each
+  // node's up neighbors in Neighbors() order, so expansion order and
+  // first-touch labelling are identical to ShortestPath(): for every
+  // destination `d` the label equals ShortestPath(from, d)[1]; the early
+  // exit the per-pair query takes merely stops after the target's label is
+  // already fixed. The labels double as the visited mark; `from` carries a
+  // sentinel label during the sweep and is cleared afterwards.
+  NodeId* const hop = row.first_hop.data();
+  hop[from] = from;
+  Sweep(from, [hop, from](NodeId u, NodeId v) {
+    if (hop[v] != kInvalidNode) return false;
+    hop[v] = u == from ? v : hop[u];
+    return true;
+  });
+  hop[from] = kInvalidNode;
 }
 
 bool Topology::IsConnected() const {
@@ -249,19 +292,12 @@ bool Topology::IsConnected() const {
   }
   if (up_nodes <= 1) return true;
   std::vector<bool> seen(node_count_, false);
-  std::deque<NodeId> frontier{start};
   seen[start] = true;
-  std::size_t reached = 1;
-  while (!frontier.empty()) {
-    const NodeId u = frontier.front();
-    frontier.pop_front();
-    for (NodeId v : Neighbors(u)) {
-      if (seen[v]) continue;
-      seen[v] = true;
-      ++reached;
-      frontier.push_back(v);
-    }
-  }
+  const std::size_t reached = Sweep(start, [&seen](NodeId, NodeId v) {
+    if (seen[v]) return false;
+    seen[v] = true;
+    return true;
+  });
   return reached == up_nodes;
 }
 

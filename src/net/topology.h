@@ -16,6 +16,17 @@
 // is first-touch in deterministic neighbor order, so propagating first-hop
 // labels in one sweep yields exactly ShortestPath(from, to)[1] for every
 // destination. The cache never feeds MixDigest (it is derived state).
+//
+// Row fills (and IsConnected) walk an up-adjacency in CSR form: node n's up
+// neighbors, in `incident_` order, are adj_[adj_offset_[n]..adj_offset_[n+1]).
+// It is rebuilt lazily, in place, the first time a sweep runs after the
+// generation moved, and the sweep's FIFO is one reused scratch vector, so a
+// steady-state fill allocates nothing. Both follow the same single-owner
+// discipline as the cache rows: `mutable` derived state of one Topology,
+// never shared between copies and never touched by two threads at once
+// (each shard owns its own Topology). ShortestPath/NextHopUncached keep
+// walking `incident_` through Neighbors(), so the cache's proof compares two
+// independently derived answers.
 #pragma once
 
 #include <cstdint>
@@ -162,6 +173,12 @@ class Topology {
 
   CacheRow& RouteRowFor(NodeId from) const;
   void FillRow(CacheRow& row, NodeId from) const;
+  // Brings adj_offset_/adj_ and the FIFO up to the current generation.
+  void RefreshAdjacency() const;
+  // Breadth-first sweep from `start` over the up-adjacency; returns the
+  // number of nodes reached, `start` included.
+  template <typename Touch>
+  std::size_t Sweep(NodeId start, Touch touch) const;
 
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
@@ -182,6 +199,13 @@ class Topology {
   // domain consistent across topology copy/move/destroy.
   mutable telemetry::mem::ChargedBytes<telemetry::mem::Domain::kRouteCache>
       cache_bytes_;
+  // CSR up-adjacency and the sweep FIFO (see the header comment). They are
+  // topology structure, not cache rows, so kRouteCache does not count them.
+  static constexpr std::uint64_t kNoGeneration = ~std::uint64_t{0};
+  mutable std::uint64_t adj_gen_ = kNoGeneration;
+  mutable std::vector<std::uint32_t> adj_offset_;  // node_count_ + 1
+  mutable std::vector<NodeId> adj_;
+  mutable std::vector<NodeId> fifo_;  // node_count_ slots; head/tail indices
 };
 
 /// Mirrors `topology`'s route-cache counters into `stats` as gauges:

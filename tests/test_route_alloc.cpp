@@ -1,0 +1,126 @@
+// Pins the routing hot path's allocation contract: once a topology's route
+// cache, adjacency and sweep FIFO have reached their working size, refilling
+// a route row — whether LRU pressure evicted it or a structural change
+// staled it — performs no heap allocation at all.
+//
+// This binary replaces the global operator new/delete family with counting
+// wrappers over malloc/free, so it stands alone: no other test shares the
+// replacement.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+
+#include "net/topology.h"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* CountedAllocate(std::size_t size) {
+  if (size == 0) size = 1;
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  return p;
+}
+
+std::uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAllocate(size); }
+void* operator new[](std::size_t size) { return CountedAllocate(size); }
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAllocate(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  try {
+    return CountedAllocate(size);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+namespace viator::net {
+namespace {
+
+constexpr std::size_t kSide = 64;
+constexpr NodeId kCorner = 0;
+constexpr NodeId kFarCorner = kSide * kSide - 1;
+
+TEST(RouteAlloc, CounterSeesHeapAllocations) {
+  // Guards the guard: a replacement the linker ignored would make every
+  // zero below vacuous. A direct operator call, unlike a new-expression,
+  // cannot be elided.
+  const std::uint64_t before = Allocs();
+  void* probe = ::operator new(16);
+  EXPECT_GT(Allocs(), before);
+  ::operator delete(probe);
+}
+
+TEST(RouteAlloc, LruRefillsAllocateNothing) {
+  Topology t = MakeGrid(kSide, kSide);
+  t.SetRouteCacheCapacity(1);
+  // Warm-up: the first fills size the row, the row index, the adjacency
+  // and the FIFO.
+  ASSERT_NE(t.NextHop(kCorner, kFarCorner), kInvalidNode);
+  ASSERT_NE(t.NextHop(kFarCorner, kCorner), kInvalidNode);
+
+  const std::uint64_t misses = t.route_cache_stats().misses;
+  const std::uint64_t evictions = t.route_cache_stats().evictions;
+  const std::uint64_t before = Allocs();
+  NodeId sink = 0;
+  for (int i = 0; i < 120; ++i) {
+    // Alternating sources through a one-row cache: every call evicts and
+    // refills.
+    sink ^= t.NextHop(i % 2 == 0 ? kCorner : kFarCorner, kSide + 1);
+  }
+  const std::uint64_t allocs = Allocs() - before;
+
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GE(t.route_cache_stats().misses - misses, 100u);
+  EXPECT_GE(t.route_cache_stats().evictions - evictions, 100u);
+  EXPECT_NE(sink, kInvalidNode);
+}
+
+TEST(RouteAlloc, GenerationRefillsAllocateNothing) {
+  Topology t = MakeGrid(kSide, kSide);
+  const LinkId link = *t.FindLink(kCorner, 1);
+  // Warm-up with every link up, so the adjacency holds its largest size.
+  ASSERT_EQ(t.NextHop(kCorner, 1), 1u);
+
+  const std::uint64_t invalidations = t.route_cache_stats().invalidations;
+  const std::uint64_t before = Allocs();
+  NodeId hops[2] = {kInvalidNode, kInvalidNode};
+  for (int i = 0; i < 20; ++i) {
+    // Each toggle bumps the generation: the next lookup rebuilds the
+    // adjacency and refills the stale row in place.
+    const bool up = i % 2 == 1;
+    t.SetLinkUp(link, up);
+    hops[up ? 1 : 0] = t.NextHop(kCorner, 1);
+  }
+  const std::uint64_t allocs = Allocs() - before;
+
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_GE(t.route_cache_stats().invalidations - invalidations, 10u);
+  EXPECT_EQ(hops[1], 1u);     // direct while the link is up
+  EXPECT_EQ(hops[0], kSide);  // around via the row below while down
+}
+
+}  // namespace
+}  // namespace viator::net

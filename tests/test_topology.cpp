@@ -196,6 +196,24 @@ TEST(Generators, DistanceIsEuclidean) {
 
 // ---- Route cache -----------------------------------------------------------
 
+// Every (from, to) pair of `t`: the cached next hop against a fresh per-pair
+// BFS over `incident_` (NextHopUncached never touches the row fill's CSR
+// adjacency, so the two answers are derived independently).
+::testing::AssertionResult CacheMatchesPerPairBfs(const Topology& t) {
+  for (NodeId from = 0; from < t.node_count(); ++from) {
+    for (NodeId to = 0; to < t.node_count(); ++to) {
+      const NodeId cached = t.NextHop(from, to);
+      const NodeId fresh = t.NextHopUncached(from, to);
+      if (cached != fresh) {
+        return ::testing::AssertionFailure()
+               << "from=" << from << " to=" << to << " cached=" << cached
+               << " bfs=" << fresh;
+      }
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
 // The acceptance gate for the cache: a cached next hop must equal the
 // fresh-BFS-per-pair answer for EVERY (from, to) pair, across generator
 // families and through arbitrary structural churn. The cache is only allowed
@@ -208,28 +226,88 @@ TEST(RouteCache, DecisionIdenticalToPerPairBfs) {
   worlds.push_back(MakeStar(8));
   worlds.push_back(MakeGrid(4, 4));
   worlds.push_back(MakeRandom(14, 0.3, rng));
+  worlds.push_back(MakeScaleFree(24, 2, rng));  // uneven degrees, hubs
   for (Topology& t : worlds) {
-    const auto check_all_pairs = [&t]() {
-      for (NodeId from = 0; from < t.node_count(); ++from) {
-        for (NodeId to = 0; to < t.node_count(); ++to) {
-          ASSERT_EQ(t.NextHop(from, to), t.NextHopUncached(from, to))
-              << "from=" << from << " to=" << to;
-        }
-      }
-    };
-    check_all_pairs();
+    ASSERT_TRUE(CacheMatchesPerPairBfs(t));
     // Structural churn: drop a link, drop a node, heal both, add a chord.
     if (t.link_count() > 0) {
       t.SetLinkUp(0, false);
-      check_all_pairs();
+      ASSERT_TRUE(CacheMatchesPerPairBfs(t));
     }
     t.SetNodeUp(1, false);
-    check_all_pairs();
+    ASSERT_TRUE(CacheMatchesPerPairBfs(t));
     t.SetNodeUp(1, true);
     if (t.link_count() > 0) t.SetLinkUp(0, true);
-    check_all_pairs();
+    ASSERT_TRUE(CacheMatchesPerPairBfs(t));
     t.AddLink(0, static_cast<NodeId>(t.node_count() - 1));
-    check_all_pairs();
+    ASSERT_TRUE(CacheMatchesPerPairBfs(t));
+  }
+
+  // A source whose only neighbor goes down, by node and by link: its row
+  // must go empty, and come back on heal.
+  {
+    Topology star = MakeStar(6);  // leaf 3's only neighbor is hub 0
+    ASSERT_TRUE(CacheMatchesPerPairBfs(star));
+    star.SetNodeUp(0, false);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(star));
+    EXPECT_EQ(star.NextHop(3, 4), kInvalidNode);
+    star.SetNodeUp(0, true);
+    const LinkId spoke = *star.FindLink(0, 3);
+    star.SetLinkUp(spoke, false);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(star));
+    EXPECT_EQ(star.NextHop(3, 4), kInvalidNode);
+    star.SetLinkUp(spoke, true);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(star));
+    EXPECT_EQ(star.NextHop(3, 4), 0u);
+  }
+
+  // Nodes added after rows were filled: the adjacency must grow with them.
+  {
+    Topology grown = MakeGrid(3, 3);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(grown));
+    const NodeId first = grown.AddNodes(3);  // 9, 10, 11 (11 stays isolated)
+    ASSERT_TRUE(CacheMatchesPerPairBfs(grown));
+    grown.AddLink(8, first);
+    grown.AddLink(first, first + 1);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(grown));
+    EXPECT_EQ(grown.NextHop(0, first + 1), grown.NextHopUncached(0, first + 1));
+    EXPECT_NE(grown.NextHop(0, first + 1), kInvalidNode);
+  }
+
+  // A shard's induced subgraph, members out of id order, with a down node
+  // and a down link carried over from the parent.
+  {
+    Topology parent = MakeGrid(6, 6);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(parent));
+    parent.SetNodeUp(15, false);
+    parent.SetLinkUp(*parent.FindLink(13, 19), false);
+    std::vector<NodeId> members;
+    for (NodeId n = 24; n-- > 12;) members.push_back(n);  // rows 2-3, reversed
+    Topology shard = parent.InducedSubgraph(members);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(shard));
+    shard.SetNodeUp(0, false);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(shard));
+  }
+
+  // A copy taken after fills, then both sides mutated differently: neither
+  // copy may serve the other's adjacency or rows.
+  {
+    Topology original = MakeGrid(4, 4);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(original));
+    Topology copy = original;
+    ASSERT_TRUE(CacheMatchesPerPairBfs(copy));
+    copy.SetLinkUp(*copy.FindLink(0, 1), false);
+    copy.SetLinkUp(*copy.FindLink(0, 4), false);  // node 0 cut off in copy
+    ASSERT_TRUE(CacheMatchesPerPairBfs(copy));
+    ASSERT_TRUE(CacheMatchesPerPairBfs(original));
+    EXPECT_EQ(copy.NextHop(0, 15), kInvalidNode);
+    EXPECT_NE(original.NextHop(0, 15), kInvalidNode);
+    original.SetNodeUp(5, false);
+    original.AddLink(0, 15);
+    ASSERT_TRUE(CacheMatchesPerPairBfs(original));
+    ASSERT_TRUE(CacheMatchesPerPairBfs(copy));
+    EXPECT_EQ(original.NextHop(0, 15), 15u);
+    EXPECT_EQ(copy.NextHop(0, 15), kInvalidNode);
   }
 }
 
