@@ -334,18 +334,18 @@ struct DispatchRun {
 /// One dispatch run: a populated side x side WanderingNetwork (one server
 /// ship per node — the 10k-ship scale claim), `flows` top-to-bottom column
 /// flows each injected `rounds` times, then RunAll to drain. Every forward
-/// goes through Topology::NextHop, so the cached leg fills one first-hop row
-/// per forwarding source and rides hits from then on, while the uncached leg
-/// pays a fresh per-pair BFS on every hop. Only the drain is timed — world
-/// construction and injection are setup, not dispatch.
+/// goes through Topology::NextHop, so the cached leg fills one route row per
+/// destination (one per flow) and rides hits from then on, while the
+/// uncached leg pays a fresh per-pair BFS on every hop. Only the drain is
+/// timed — world construction and injection are setup, not dispatch.
 DispatchRun RunDispatchTier(std::size_t side, std::uint64_t flows,
                             std::uint64_t rounds, bool cache_on) {
   sim::Simulator simulator;
   net::Topology grid = net::MakeGrid(side, side);
   grid.SetRouteCacheEnabled(cache_on);
-  // Column flows touch flows*side distinct forwarding sources; keep them all
-  // resident so the cached leg measures the steady-state hit path, not LRU
-  // churn (capacity pressure has its own ctest coverage).
+  // Keep every flow's destination row resident, with room to spare, so the
+  // cached leg measures the steady-state hit path, not LRU churn (capacity
+  // pressure has its own ctest coverage).
   grid.SetRouteCacheCapacity(flows * side + 1);
   wli::WnConfig config;
   wli::WanderingNetwork network(simulator, grid, config, /*seed=*/42);

@@ -24,10 +24,21 @@ void Fabric::SetReceiveHandler(NodeId node, ReceiveHandler handler) {
 }
 
 void Fabric::EnsureLinkState(LinkId id) {
-  // Grow the two arrays independently: a state restore may have populated
-  // link_bytes_ beyond directions_, and a joint resize would truncate it.
-  if (directions_.size() <= id) directions_.resize(id + 1);
+  if (directions_.size() > id && link_bytes_.size() > id) return;
+  // Size the per-link state once for every link the topology has, not by
+  // doubling toward the highest link id sent on; links added later grow it
+  // again. link_bytes_ only reserves: its length (up to the highest link
+  // sent on) is digested and snapshotted state. The two arrays grow
+  // independently: a state restore may have populated link_bytes_ beyond
+  // directions_, and a joint resize would truncate it.
+  if (directions_.size() <= id) {
+    const std::size_t links =
+        std::max<std::size_t>(id + 1, topology_.link_count());
+    directions_.resize(links);
+    link_bytes_.reserve(links);
+  }
   if (link_bytes_.size() <= id) link_bytes_.resize(id + 1, 0);
+  ChargeLinkState();
 }
 
 Status Fabric::Send(Frame frame) {

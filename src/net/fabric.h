@@ -20,6 +20,7 @@
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "telemetry/latency_plane.h"
+#include "telemetry/mem_counters.h"
 
 namespace viator::net {
 
@@ -94,6 +95,7 @@ class Fabric {
                     std::uint64_t frames_delivered, std::uint64_t frames_dropped,
                     std::uint64_t bytes_sent, std::uint64_t next_frame) {
     link_bytes_ = std::move(link_bytes);
+    ChargeLinkState();
     frames_delivered_ = frames_delivered;
     frames_dropped_ = frames_dropped;
     bytes_sent_ = bytes_sent;
@@ -107,6 +109,10 @@ class Fabric {
   };
 
   void EnsureLinkState(LinkId id);
+  void ChargeLinkState() {
+    link_state_bytes_.Set(directions_.capacity() * sizeof(directions_[0]) +
+                          link_bytes_.capacity() * sizeof(link_bytes_[0]));
+  }
 
   sim::Simulator& simulator_;
   Topology& topology_;
@@ -124,6 +130,10 @@ class Fabric {
   std::vector<ReceiveHandler> handlers_;
   std::vector<std::array<Direction, 2>> directions_;  // per link: a->b, b->a
   std::vector<std::uint64_t> link_bytes_;
+  // Heap bytes behind directions_ and link_bytes_, mirrored into the memory
+  // observatory's kFabric domain.
+  telemetry::mem::ChargedBytes<telemetry::mem::Domain::kFabric>
+      link_state_bytes_;
   std::uint64_t next_frame_id_ = 1;
   std::uint64_t frames_delivered_ = 0;
   std::uint64_t frames_dropped_ = 0;

@@ -137,9 +137,9 @@ NodeId Topology::NextHop(NodeId from, NodeId to) const {
   if (from >= node_count_ || to >= node_count_) return kInvalidNode;
   if (!node_up_[from] || !node_up_[to]) return kInvalidNode;
   if (from == to) return kInvalidNode;
-  CacheRow& row = RouteRowFor(from);
+  CacheRow& row = RouteRowFor(to);
   row.last_used = ++lru_tick_;
-  return row.first_hop[to];
+  return row.first_hop[from];
 }
 
 void Topology::SetRouteCacheCapacity(std::size_t rows) {
@@ -148,8 +148,8 @@ void Topology::SetRouteCacheCapacity(std::size_t rows) {
   // drop from the back (deterministic).
   while (rows_.size() > cache_capacity_) {
     const CacheRow& victim = rows_.back();
-    if (victim.from < row_of_.size()) {
-      row_of_[victim.from] = kInvalidNode;
+    if (victim.to < row_of_.size()) {
+      row_of_[victim.to] = kInvalidNode;
     }
     ++cache_stats_.evictions;
     cache_bytes_.Sub(victim.first_hop.capacity() * sizeof(NodeId));
@@ -157,7 +157,7 @@ void Topology::SetRouteCacheCapacity(std::size_t rows) {
   }
 }
 
-Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
+Topology::CacheRow& Topology::RouteRowFor(NodeId to) const {
   if (row_of_.size() < node_count_) {
     const std::size_t before = row_of_.capacity();
     row_of_.resize(node_count_, kInvalidNode);
@@ -165,8 +165,8 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
       cache_bytes_.Add((row_of_.capacity() - before) * sizeof(std::uint32_t));
     }
   }
-  const std::uint32_t idx = row_of_[from];
-  if (idx != kInvalidNode && rows_[idx].from == from) {
+  const std::uint32_t idx = row_of_[to];
+  if (idx != kInvalidNode && rows_[idx].to == to) {
     CacheRow& row = rows_[idx];
     if (row.gen == generation_) {
       ++cache_stats_.hits;
@@ -177,7 +177,7 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
     ++cache_stats_.invalidations;
     ++cache_stats_.misses;
     VIATOR_PERF_COUNT(kRouteCacheMiss);
-    FillRow(row, from);
+    FillRow(row, to);
     return row;
   }
   ++cache_stats_.misses;
@@ -188,9 +188,9 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
     if (rows_.capacity() != before) {
       cache_bytes_.Add((rows_.capacity() - before) * sizeof(CacheRow));
     }
-    row_of_[from] = static_cast<std::uint32_t>(rows_.size() - 1);
+    row_of_[to] = static_cast<std::uint32_t>(rows_.size() - 1);
     CacheRow& row = rows_.back();
-    FillRow(row, from);
+    FillRow(row, to);
     return row;
   }
   // LRU eviction: reuse the least recently used row's storage.
@@ -199,18 +199,24 @@ Topology::CacheRow& Topology::RouteRowFor(NodeId from) const {
     if (rows_[i].last_used < rows_[victim].last_used) victim = i;
   }
   CacheRow& row = rows_[victim];
-  if (row.from < row_of_.size() && row_of_[row.from] == victim) {
-    row_of_[row.from] = kInvalidNode;
+  if (row.to < row_of_.size() && row_of_[row.to] == victim) {
+    row_of_[row.to] = kInvalidNode;
   }
   ++cache_stats_.evictions;
-  row_of_[from] = static_cast<std::uint32_t>(victim);
-  FillRow(row, from);
+  row_of_[to] = static_cast<std::uint32_t>(victim);
+  FillRow(row, to);
   return row;
 }
 
 void Topology::RefreshAdjacency() const {
   if (adj_gen_ == generation_) return;
   adj_gen_ = generation_;
+  const auto bytes = [this] {
+    return (adj_offset_.capacity() + adj_.capacity() + fifo_.capacity() +
+            dist_.capacity()) *
+           sizeof(std::uint32_t);
+  };
+  const std::size_t before = bytes();
   // clear() + push_back and resize() keep capacity, so once the arrays have
   // seen their largest size a rebuild allocates nothing.
   adj_offset_.resize(node_count_ + 1);
@@ -227,57 +233,65 @@ void Topology::RefreshAdjacency() const {
   }
   adj_offset_[node_count_] = static_cast<std::uint32_t>(adj_.size());
   fifo_.resize(node_count_);
+  dist_.resize(node_count_);
+  // resize() and clear() never shrink capacity, so the charge only grows.
+  const std::size_t after = bytes();
+  if (after > before) cache_bytes_.Add(after - before);
 }
 
-// `touch(u, v)` sees every up edge u->v of an expanded node in adjacency
-// order and returns true iff it newly marked v visited (then v is queued).
-// Each node is queued at most once, so node_count_ FIFO slots suffice.
-template <typename Touch>
-std::size_t Topology::Sweep(NodeId start, Touch touch) const {
+// `settle(u, closer)` runs once per reached node u, in BFS order, with the
+// first neighbour in u's adjacency one hop closer to `start` (kInvalidNode
+// for `start` itself). When u is expanded, every node closer to `start`
+// than u has been reached, so that neighbour is known. Each node is queued
+// at most once, so node_count_ FIFO slots suffice.
+template <typename Settle>
+std::size_t Topology::Sweep(NodeId start, Settle settle) const {
   RefreshAdjacency();
   NodeId* const fifo = fifo_.data();
+  std::uint32_t* const dist = dist_.data();
   const std::uint32_t* const offset = adj_offset_.data();
   const NodeId* const adj = adj_.data();
+  std::fill(dist, dist + node_count_, kUnreached);
   std::size_t head = 0;
   std::size_t tail = 0;
+  dist[start] = 0;
   fifo[tail++] = start;
   while (head < tail) {
     const NodeId u = fifo[head++];
-    // Bounds are read once: the labels `touch` writes are uint32_t too, so
-    // the compiler could not otherwise keep them in registers.
+    // Bounds are read once: the distances written below are uint32_t too,
+    // so the compiler could not otherwise keep them in registers.
+    const std::uint32_t here = dist[u];
     const std::uint32_t end = offset[u + 1];
+    NodeId closer = kInvalidNode;
     for (std::uint32_t i = offset[u]; i < end; ++i) {
       const NodeId v = adj[i];
-      if (touch(u, v)) fifo[tail++] = v;
+      if (dist[v] == kUnreached) {
+        dist[v] = here + 1;
+        fifo[tail++] = v;
+      }
+      // Which neighbours are closer is data-dependent, so select rather
+      // than branch. A neighbour just reached is one hop farther, never
+      // closer, and links never join a node to itself.
+      closer = closer == kInvalidNode && dist[v] + 1 == here ? v : closer;
     }
+    settle(u, closer);
   }
   return tail;
 }
 
-void Topology::FillRow(Topology::CacheRow& row, NodeId from) const {
+void Topology::FillRow(Topology::CacheRow& row, NodeId to) const {
   VIATOR_PERF_SCOPE(kRouteCacheFill);
-  row.from = from;
+  row.to = to;
   row.gen = generation_;
   const std::size_t before = row.first_hop.capacity();
   row.first_hop.assign(node_count_, kInvalidNode);
   if (row.first_hop.capacity() != before) {
     cache_bytes_.Add((row.first_hop.capacity() - before) * sizeof(NodeId));
   }
-  // One full BFS with first-hop label propagation. The adjacency lists each
-  // node's up neighbors in Neighbors() order, so expansion order and
-  // first-touch labelling are identical to ShortestPath(): for every
-  // destination `d` the label equals ShortestPath(from, d)[1]; the early
-  // exit the per-pair query takes merely stops after the target's label is
-  // already fixed. The labels double as the visited mark; `from` carries a
-  // sentinel label during the sweep and is cleared afterwards.
+  // One sweep from `to`; by the header comment's lemma, the first neighbour
+  // one hop closer to `to` in u's adjacency is u's next hop toward `to`.
   NodeId* const hop = row.first_hop.data();
-  hop[from] = from;
-  Sweep(from, [hop, from](NodeId u, NodeId v) {
-    if (hop[v] != kInvalidNode) return false;
-    hop[v] = u == from ? v : hop[u];
-    return true;
-  });
-  hop[from] = kInvalidNode;
+  Sweep(to, [hop](NodeId u, NodeId closer) { hop[u] = closer; });
 }
 
 bool Topology::IsConnected() const {
@@ -291,14 +305,7 @@ bool Topology::IsConnected() const {
     }
   }
   if (up_nodes <= 1) return true;
-  std::vector<bool> seen(node_count_, false);
-  seen[start] = true;
-  const std::size_t reached = Sweep(start, [&seen](NodeId, NodeId v) {
-    if (seen[v]) return false;
-    seen[v] = true;
-    return true;
-  });
-  return reached == up_nodes;
+  return Sweep(start, [](NodeId, NodeId) {}) == up_nodes;
 }
 
 Topology Topology::InducedSubgraph(const std::vector<NodeId>& members) const {

@@ -8,25 +8,40 @@
 // lets the Wandering Network's "topology-on-demand" react to real change.
 //
 // NextHop() — the per-hop routing query on the data path — is backed by a
-// generation-stamped route cache: one flat first-hop row per source node
-// (LRU-bounded), filled by a single full BFS and invalidated wholesale by
-// bumping `generation_` on every structural mutation (link/node up/down,
-// added links/nodes, mobility rewires). A cached row is proven
-// decision-identical to the per-pair BFS it replaces: BFS parent assignment
-// is first-touch in deterministic neighbor order, so propagating first-hop
-// labels in one sweep yields exactly ShortestPath(from, to)[1] for every
-// destination. The cache never feeds MixDigest (it is derived state).
+// generation-stamped route cache keyed by *destination*, as a real routing
+// table is: the row for `to` stores, for every node `s`, the next hop from
+// `s` toward `to` (LRU-bounded), so NextHop(from, to) is
+// row(to).first_hop[from]. All rows are invalidated wholesale by bumping
+// `generation_` on every structural mutation (link/node up/down, added
+// links/nodes, mobility rewires). The cache never feeds MixDigest (it is
+// derived state).
+//
+// A row is decision-identical to the per-pair BFS it replaces, by this
+// lemma: ShortestPath(from, to)[1] is the first neighbour n of `from`, in
+// adjacency (`incident_`) order, with dist(n, to) == dist(from, to) - 1.
+// Proof: the per-pair BFS labels each node with the first hop of its BFS
+// parent, first touch wins, and expands level by level. Level 1 is `from`'s
+// neighbours in adjacency order, each its own label. If level k's queue is
+// sorted by label rank, each level-(k+1) node takes the lowest-ranked label
+// among its level-k neighbours, which is the lowest-ranked first hop on any
+// of its shortest paths, and is queued in label-rank order, so level k+1 is
+// sorted too. Hop distance is symmetric, so one sweep from `to` fills the
+// row: when node u at distance k is popped, every node at distance k-1 is
+// already known, and u's entry is the first neighbour in u's adjacency at
+// distance k-1. One fill serves every source; a hit is one load.
 //
 // Row fills (and IsConnected) walk an up-adjacency in CSR form: node n's up
 // neighbors, in `incident_` order, are adj_[adj_offset_[n]..adj_offset_[n+1]).
 // It is rebuilt lazily, in place, the first time a sweep runs after the
-// generation moved, and the sweep's FIFO is one reused scratch vector, so a
-// steady-state fill allocates nothing. Both follow the same single-owner
-// discipline as the cache rows: `mutable` derived state of one Topology,
-// never shared between copies and never touched by two threads at once
-// (each shard owns its own Topology). ShortestPath/NextHopUncached keep
-// walking `incident_` through Neighbors(), so the cache's proof compares two
-// independently derived answers.
+// generation moved; the sweep's FIFO and distance array are reused scratch
+// vectors, so a steady-state fill allocates nothing. Adjacency and scratch
+// follow the same single-owner discipline as the cache rows: `mutable`
+// derived state of one Topology, never shared between copies and never
+// touched by two threads at once (each shard owns its own Topology), and
+// charged with the rows to mem::Domain::kRouteCache.
+// ShortestPath/NextHopUncached keep walking `incident_` through
+// Neighbors(), so the cache's proof compares two independently derived
+// answers.
 #pragma once
 
 #include <cstdint>
@@ -103,8 +118,8 @@ class Topology {
   std::vector<NodeId> FastestPath(NodeId a, NodeId b) const;
 
   /// Next hop on the hop-count shortest path, or kInvalidNode. O(1) against
-  /// the route cache in steady state; one row-filling BFS per (source,
-  /// topology generation) otherwise.
+  /// the route cache in steady state; one row-filling sweep per
+  /// (destination, topology generation) otherwise.
   NodeId NextHop(NodeId from, NodeId to) const;
 
   /// Next hop computed the pre-cache way: a fresh per-pair BFS. Exists so
@@ -129,16 +144,19 @@ class Topology {
   void SetRouteCacheEnabled(bool enabled) { cache_enabled_ = enabled; }
   bool route_cache_enabled() const { return cache_enabled_; }
 
-  /// Caps the number of cached source rows (LRU eviction beyond it).
-  /// Minimum 1; default 256 rows.
+  /// Caps the number of cached destination rows (LRU eviction beyond it).
+  /// Each row answers NextHop(*, to) for one destination `to`, so a
+  /// workload needs as many rows as it has live destinations, however many
+  /// nodes forward toward them. Minimum 1; default 256 rows.
   void SetRouteCacheCapacity(std::size_t rows);
   std::size_t route_cache_capacity() const { return cache_capacity_; }
 
   const RouteCacheStats& route_cache_stats() const { return cache_stats_; }
 
-  /// Heap bytes behind the cache (row index, row spine, first-hop stores),
-  /// tracked incrementally and mirrored into the memory observatory's
-  /// kRouteCache domain. Deterministic for a given query sequence.
+  /// Heap bytes behind the cache (row index, row spine, first-hop stores,
+  /// CSR adjacency, sweep FIFO and distance scratch), tracked incrementally
+  /// and mirrored into the memory observatory's kRouteCache domain.
+  /// Deterministic for a given query sequence.
   std::size_t route_cache_bytes() const { return cache_bytes_.value(); }
 
   /// Monotone structural-change counter: bumps on every mutation that could
@@ -162,23 +180,26 @@ class Topology {
   void MixDigest(Hasher& hasher) const;
 
  private:
-  // One cached first-hop row: first_hop[dst] on the shortest path from
-  // `from`, kInvalidNode when unreachable. Valid iff gen == generation_.
+  // One cached destination row: first_hop[from] is the next hop from `from`
+  // toward `to`, kInvalidNode when unreachable (and at `to` itself). Valid
+  // iff gen == generation_.
   struct CacheRow {
-    NodeId from = kInvalidNode;
+    NodeId to = kInvalidNode;
     std::uint64_t gen = 0;
     std::uint64_t last_used = 0;
     std::vector<NodeId> first_hop;
   };
 
-  CacheRow& RouteRowFor(NodeId from) const;
-  void FillRow(CacheRow& row, NodeId from) const;
-  // Brings adj_offset_/adj_ and the FIFO up to the current generation.
+  CacheRow& RouteRowFor(NodeId to) const;
+  void FillRow(CacheRow& row, NodeId to) const;
+  // Brings adj_offset_/adj_ and the sweep scratch up to the current
+  // generation.
   void RefreshAdjacency() const;
-  // Breadth-first sweep from `start` over the up-adjacency; returns the
-  // number of nodes reached, `start` included.
-  template <typename Touch>
-  std::size_t Sweep(NodeId start, Touch touch) const;
+  // Breadth-first sweep from `start` over the up-adjacency, with hop
+  // distances in dist_; returns the number of nodes reached, `start`
+  // included.
+  template <typename Settle>
+  std::size_t Sweep(NodeId start, Settle settle) const;
 
   std::size_t node_count_ = 0;
   std::vector<Link> links_;
@@ -192,20 +213,21 @@ class Topology {
   // path can maintain it. Copying a Topology copies the cache, which stays
   // valid (generation and structure travel together).
   mutable std::vector<CacheRow> rows_;
-  mutable std::vector<std::uint32_t> row_of_;  // from -> index into rows_
+  mutable std::vector<std::uint32_t> row_of_;  // to -> index into rows_
   mutable std::uint64_t lru_tick_ = 0;
   mutable RouteCacheStats cache_stats_;
   // Running cache footprint; ChargedBytes keeps the global kRouteCache
   // domain consistent across topology copy/move/destroy.
   mutable telemetry::mem::ChargedBytes<telemetry::mem::Domain::kRouteCache>
       cache_bytes_;
-  // CSR up-adjacency and the sweep FIFO (see the header comment). They are
-  // topology structure, not cache rows, so kRouteCache does not count them.
+  // CSR up-adjacency and the sweep scratch (see the header comment).
   static constexpr std::uint64_t kNoGeneration = ~std::uint64_t{0};
+  static constexpr std::uint32_t kUnreached = ~std::uint32_t{0};
   mutable std::uint64_t adj_gen_ = kNoGeneration;
   mutable std::vector<std::uint32_t> adj_offset_;  // node_count_ + 1
   mutable std::vector<NodeId> adj_;
   mutable std::vector<NodeId> fifo_;  // node_count_ slots; head/tail indices
+  mutable std::vector<std::uint32_t> dist_;  // hop distance from the start
 };
 
 /// Mirrors `topology`'s route-cache counters into `stats` as gauges:

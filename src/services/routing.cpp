@@ -8,8 +8,12 @@ StaticRouter::StaticRouter(wli::WanderingNetwork& network)
     : network_(network) {
   const std::size_t n = network_.topology().node_count();
   tables_.assign(n, std::vector<net::NodeId>(n, net::kInvalidNode));
-  for (net::NodeId src = 0; src < n; ++src) {
-    for (net::NodeId dst = 0; dst < n; ++dst) {
+  // Destination-major: the topology's route cache keeps one row per
+  // destination, so each destination costs one row fill however large the
+  // graph, where a source-major walk would cycle every destination through
+  // the LRU once per source.
+  for (net::NodeId dst = 0; dst < n; ++dst) {
+    for (net::NodeId src = 0; src < n; ++src) {
       if (src == dst) continue;
       tables_[src][dst] = network_.topology().NextHop(src, dst);
     }

@@ -35,6 +35,7 @@ enum class Domain : std::uint8_t {
   kMailbox,          // striped cross-shard handoff mailboxes
   kGenesisBuffer,    // snapshot encode/decode scratch buffers
   kFactsGenome,      // per-node FactStore hash tables
+  kFabric,           // net::Fabric per-link transmit state and byte counts
   kCount,
 };
 

@@ -1,13 +1,16 @@
 // Tests for the fabric transmission model, mobility and failure injection.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "net/fabric.h"
 #include "net/failure.h"
 #include "net/mobility.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
+#include "telemetry/mem_counters.h"
 
 namespace viator::net {
 namespace {
@@ -174,6 +177,55 @@ TEST_F(FabricFixture, LinkBytesAccountPerLink) {
   EXPECT_EQ(fabric.link_bytes()[0], 100u);
   EXPECT_EQ(fabric.link_bytes()[1], 200u);
   EXPECT_EQ(fabric.bytes_sent(), 300u);
+}
+
+TEST_F(FabricFixture, LinkStateChargedToFabricDomain) {
+  namespace mem = telemetry::mem;
+  const auto fabric_domain = static_cast<std::size_t>(mem::Domain::kFabric);
+  const auto live = [fabric_domain] {
+    return mem::Plane::Aggregate()[fabric_domain].live_bytes;
+  };
+  constexpr std::int64_t kPerLink =
+      2 * (sizeof(sim::TimePoint) + sizeof(std::uint64_t))  // two directions
+      + sizeof(std::uint64_t);                              // link bytes
+  mem::Plane::ResetAll();
+  mem::Plane::SetEnabled(true);
+  {
+    Topology t = MakeLine(5);  // links 0..3
+    Fabric fabric(simulator, t, Rng(1), stats);
+    EXPECT_EQ(live(), 0);
+    ASSERT_TRUE(fabric.Send(MakeFrame(0, 1, 100)).ok());
+    simulator.RunAll();
+    // Sized once for all four links, though only link 0 carried a frame;
+    // link_bytes() (digested, snapshotted) still ends at that link.
+    EXPECT_EQ(live(), 4 * kPerLink);
+    EXPECT_EQ(fabric.link_bytes().size(), 1u);
+    ASSERT_TRUE(fabric.Send(MakeFrame(3, 4, 100)).ok());
+    simulator.RunAll();
+    EXPECT_EQ(live(), 4 * kPerLink);
+    EXPECT_EQ(fabric.link_bytes().size(), 4u);
+
+    // A link added later grows the state again.
+    t.AddLink(4, 0);
+    ASSERT_TRUE(fabric.Send(MakeFrame(4, 0, 100)).ok());
+    simulator.RunAll();
+    EXPECT_GE(live(), 5 * kPerLink);
+    EXPECT_EQ(fabric.link_bytes()[4], 100u);
+
+    // A restore swaps link_bytes wholesale; the charge follows its size.
+    fabric.RestoreState(std::vector<std::uint64_t>(64, 7), 0, 0, 0, 1);
+    const std::int64_t restored64 = live();
+    fabric.RestoreState(std::vector<std::uint64_t>(16, 7), 0, 0, 0, 1);
+    EXPECT_EQ(restored64 - live(),
+              48 * static_cast<std::int64_t>(sizeof(std::uint64_t)));
+    ASSERT_TRUE(fabric.Send(MakeFrame(0, 1, 100)).ok());
+    simulator.RunAll();
+    EXPECT_EQ(fabric.link_bytes().size(), 16u);
+    EXPECT_EQ(fabric.link_bytes()[0], 107u);
+  }
+  // Destroying the fabric releases the whole charge.
+  EXPECT_EQ(live(), 0);
+  mem::Plane::SetEnabled(false);
 }
 
 // ---- Mobility ----

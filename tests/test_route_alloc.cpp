@@ -1,5 +1,5 @@
 // Pins the routing hot path's allocation contract: once a topology's route
-// cache, adjacency and sweep FIFO have reached their working size, refilling
+// cache, adjacency and sweep scratch have reached their working size, refilling
 // a route row — whether LRU pressure evicted it or a structural change
 // staled it — performs no heap allocation at all.
 //
@@ -77,18 +77,18 @@ TEST(RouteAlloc, LruRefillsAllocateNothing) {
   Topology t = MakeGrid(kSide, kSide);
   t.SetRouteCacheCapacity(1);
   // Warm-up: the first fills size the row, the row index, the adjacency
-  // and the FIFO.
-  ASSERT_NE(t.NextHop(kCorner, kFarCorner), kInvalidNode);
+  // and the sweep scratch.
   ASSERT_NE(t.NextHop(kFarCorner, kCorner), kInvalidNode);
+  ASSERT_NE(t.NextHop(kCorner, kFarCorner), kInvalidNode);
 
   const std::uint64_t misses = t.route_cache_stats().misses;
   const std::uint64_t evictions = t.route_cache_stats().evictions;
   const std::uint64_t before = Allocs();
   NodeId sink = 0;
   for (int i = 0; i < 120; ++i) {
-    // Alternating sources through a one-row cache: every call evicts and
-    // refills.
-    sink ^= t.NextHop(i % 2 == 0 ? kCorner : kFarCorner, kSide + 1);
+    // Alternating destinations through a one-row cache: every call evicts
+    // and refills.
+    sink ^= t.NextHop(kSide + 1, i % 2 == 0 ? kCorner : kFarCorner);
   }
   const std::uint64_t allocs = Allocs() - before;
 

@@ -115,6 +115,27 @@ TEST_F(RoutingFixture, UnreachableDestinationDropsAfterBufferFill) {
   EXPECT_GE(router.data_dropped_no_route(), 3u);
 }
 
+TEST_F(RoutingFixture, StaticTablesCostOneFillPerDestination) {
+  // 400 nodes: more destinations than the route cache's default 256 rows,
+  // so a source-major build would refill every row once per source.
+  topology = net::MakeGrid(20, 20);
+  wn = std::make_unique<wli::WanderingNetwork>(simulator, topology, config,
+                                               31);
+  wn->PopulateAllNodes();
+  const std::size_t n = topology.node_count();
+  ASSERT_GT(n, topology.route_cache_capacity());
+  const std::uint64_t misses = topology.route_cache_stats().misses;
+  StaticRouter router(*wn);
+  EXPECT_LE(topology.route_cache_stats().misses - misses, n);
+  // The tables are the live shortest-path answers, frozen.
+  for (net::NodeId at = 0; at < n; at += 7) {
+    for (net::NodeId dst = 0; dst < n; dst += 11) {
+      ASSERT_EQ(router.NextHop(at, dst), topology.NextHopUncached(at, dst))
+          << "at=" << at << " dst=" << dst;
+    }
+  }
+}
+
 TEST_F(RoutingFixture, AdaptiveBeatsStaticUnderChurn) {
   // Ring with links failing over time; static tables go stale, adaptive
   // rediscovers. This is the paper's core mobility claim in miniature.

@@ -460,8 +460,8 @@ TEST(ShardMetrics, PrometheusExportMatchesGoldenFile) {
   telemetry::PublishProcStats(stats, /*rss_bytes=*/8 << 20,
                               /*maxrss_bytes=*/16 << 20);
   // Route-cache gauges ride the same exporter under the shard prefix. A
-  // 4-node line probed twice from node 0 is one fill then one hit —
-  // deterministic values forever.
+  // 4-node line probed from node 0 toward two destinations is two
+  // destination-row fills — deterministic values forever.
   net::Topology line = net::MakeLine(4);
   ASSERT_EQ(line.NextHop(0, 3), 1u);
   ASSERT_EQ(line.NextHop(0, 2), 1u);

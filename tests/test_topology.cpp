@@ -342,21 +342,74 @@ TEST(RouteCache, NodeFailureInvalidatesCachedRows) {
 TEST(RouteCache, StatsCountHitsMissesInvalidations) {
   Topology t = MakeLine(4);
   EXPECT_EQ(t.route_cache_stats().hits, 0u);
-  (void)t.NextHop(0, 3);  // cold: one fill
+  (void)t.NextHop(0, 3);  // cold: one fill of destination 3's row
   EXPECT_EQ(t.route_cache_stats().misses, 1u);
-  (void)t.NextHop(0, 2);  // same row: hit
-  (void)t.NextHop(0, 1);
+  (void)t.NextHop(1, 3);  // same destination row, other sources: hits
+  (void)t.NextHop(2, 3);
   EXPECT_EQ(t.route_cache_stats().hits, 2u);
+  (void)t.NextHop(0, 2);  // another destination: its own row
+  EXPECT_EQ(t.route_cache_stats().misses, 2u);
   const std::uint64_t gen = t.generation();
   t.SetLinkUp(0, false);  // structural change bumps the generation
   EXPECT_GT(t.generation(), gen);
   (void)t.NextHop(0, 3);  // stale row: lazy invalidation + refill
   EXPECT_EQ(t.route_cache_stats().invalidations, 1u);
-  EXPECT_EQ(t.route_cache_stats().misses, 2u);
+  EXPECT_EQ(t.route_cache_stats().misses, 3u);
   // Toggling to the same state is not a change and must not invalidate.
   t.SetLinkUp(0, false);
-  (void)t.NextHop(0, 1);
+  (void)t.NextHop(2, 3);
   EXPECT_EQ(t.route_cache_stats().invalidations, 1u);
+  EXPECT_EQ(t.route_cache_stats().hits, 3u);
+}
+
+TEST(RouteCache, OneFillServesEverySource) {
+  // Rows are keyed by destination: every source on a 64x64 grid asking for
+  // one destination costs exactly one fill, and every answer is the
+  // per-pair BFS's.
+  Topology t = MakeGrid(64, 64);
+  const NodeId dst = 64 * 32 + 17;
+  for (NodeId from = 0; from < t.node_count(); ++from) {
+    ASSERT_EQ(t.NextHop(from, dst), t.NextHopUncached(from, dst))
+        << "from=" << from;
+  }
+  EXPECT_EQ(t.route_cache_stats().misses, 1u);
+  EXPECT_EQ(t.route_cache_stats().hits, t.node_count() - 2);  // not dst->dst
+  EXPECT_EQ(t.route_cache_stats().evictions, 0u);
+}
+
+// The row fill's lemma picks the first neighbour one hop closer in
+// adjacency order. Parallel links list a neighbour once per link, so its
+// rank is its first up link: cutting that link moves it behind others.
+TEST(RouteCache, ParallelLinksMatchPerPairBfs) {
+  Topology t = MakeGrid(4, 4);
+  t.AddLink(0, 4);
+  t.AddLink(5, 1);
+  t.AddLink(5, 4);  // 5: 4 and 1 each twice, tied toward 0
+  t.AddLink(10, 6);
+  t.AddLink(15, 11);
+  ASSERT_TRUE(CacheMatchesPerPairBfs(t));
+  for (NodeId a : {NodeId{5}, NodeId{0}, NodeId{10}}) {
+    for (NodeId b : {NodeId{1}, NodeId{4}, NodeId{6}}) {
+      const auto link = t.FindLink(a, b);  // the first up parallel link
+      if (!link.has_value()) continue;
+      t.SetLinkUp(*link, false);
+      ASSERT_TRUE(CacheMatchesPerPairBfs(t)) << "cut " << a << "-" << b;
+    }
+  }
+}
+
+// A hub with more neighbours than a byte can index: every leaf's row entry
+// is the hub, and the hub's entry is the leaf itself.
+TEST(RouteCache, StarHubBeyondByteDegreeMatchesPerPairBfs) {
+  Topology star = MakeStar(300);
+  ASSERT_TRUE(CacheMatchesPerPairBfs(star));
+  EXPECT_EQ(star.NextHop(0, 299), 299u);
+  EXPECT_EQ(star.NextHop(299, 1), 0u);
+  star.SetLinkUp(*star.FindLink(0, 280), false);
+  ASSERT_TRUE(CacheMatchesPerPairBfs(star));
+  star.AddLink(280, 299);
+  ASSERT_TRUE(CacheMatchesPerPairBfs(star));
+  EXPECT_EQ(star.NextHop(0, 280), 299u);
 }
 
 TEST(RouteCache, LruEvictionKeepsCapacityBound) {
@@ -364,9 +417,9 @@ TEST(RouteCache, LruEvictionKeepsCapacityBound) {
   t.SetRouteCacheCapacity(2);
   (void)t.NextHop(0, 3);
   (void)t.NextHop(1, 4);
-  (void)t.NextHop(2, 5);  // evicts the LRU row (source 0)
+  (void)t.NextHop(2, 5);  // evicts the LRU row (destination 3)
   EXPECT_EQ(t.route_cache_stats().evictions, 1u);
-  (void)t.NextHop(0, 3);  // source 0 must refill — and still be correct
+  (void)t.NextHop(0, 3);  // destination 3 must refill — and still be correct
   EXPECT_EQ(t.route_cache_stats().evictions, 2u);
   EXPECT_EQ(t.NextHop(0, 3), t.NextHopUncached(0, 3));
 }
@@ -408,8 +461,8 @@ TEST(RouteCache, MobilityRewiringNeverServesStaleHops) {
 TEST(RouteCache, PublishesGaugesIntoRegistry) {
   sim::StatsRegistry stats;
   Topology t = MakeLine(4);
-  (void)t.NextHop(0, 3);
-  (void)t.NextHop(0, 2);
+  (void)t.NextHop(0, 3);  // fills destination 3's row
+  (void)t.NextHop(1, 3);  // served from it
   PublishRouteCacheStats(stats, t);
   EXPECT_EQ(stats.gauges().at("net.route_cache.hits").value(), 1.0);
   EXPECT_EQ(stats.gauges().at("net.route_cache.misses").value(), 1.0);
