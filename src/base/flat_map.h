@@ -8,7 +8,7 @@
 //    read-mostly tables on the routing data path (per-node route tables are
 //    dozens of entries, probed on every hop, mutated a few times a second).
 //    Iteration order is ascending key order — identical to std::map — so
-//    MixDigest folds and genesis snapshot bytes are unchanged by the swap.
+//    state hashes and genesis snapshot bytes are unchanged by the swap.
 //
 //  * FlatNameMap<T>    — a sorted vector of (name, unique_ptr<T>) rows for
 //    the StatsRegistry: string_view binary-search lookups without allocation,

@@ -44,26 +44,40 @@ std::string DigestToHex(Digest digest);
 Digest KeyedTag(std::uint64_t key, std::span<const std::byte> data);
 
 /// Incremental structured hasher for rolling state digests (the flight
-/// recorder's `Digest(Hasher&)` hooks). Subsystems mix their
-/// nondeterminism-relevant state word by word; the order of Mix calls is part
-/// of the digest, so hooks must enumerate state in a deterministic order.
+/// recorder's window hashes, WanderingNetwork::MixDigest). Callers mix
+/// state word by word; the order of Mix calls is part of the digest, so
+/// walks must enumerate state in a deterministic order.
+///
+/// One round per word: xor the word in, multiply by an odd constant, fold
+/// the high half down. Each step is a bijection of the running state, so a
+/// change to any one mixed word always changes the digest.
 class Hasher {
  public:
-  void Mix(std::uint64_t word) { digest_ = HashCombineWord(digest_, word); }
+  void Mix(std::uint64_t word) {
+    digest_ = (digest_ ^ word) * kMixMultiplier;
+    digest_ ^= digest_ >> 32;
+  }
   void Mix(std::string_view text) {
-    Mix(static_cast<std::uint64_t>(text.size()));
-    digest_ = HashCombine(
-        digest_, std::as_bytes(std::span(text.data(), text.size())));
+    MixBytes(std::as_bytes(std::span(text.data(), text.size())));
   }
   void MixDouble(double value) { Mix(std::bit_cast<std::uint64_t>(value)); }
+  /// The length, then the bytes packed little-endian into words.
   void MixBytes(std::span<const std::byte> bytes) {
     Mix(static_cast<std::uint64_t>(bytes.size()));
-    digest_ = HashCombine(digest_, bytes);
+    std::uint64_t word = 0;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      word |= static_cast<std::uint64_t>(bytes[i]) << (8 * (i % 8));
+      if (i % 8 == 7 || i + 1 == bytes.size()) {
+        Mix(word);
+        word = 0;
+      }
+    }
   }
 
   Digest digest() const { return digest_; }
 
  private:
+  static constexpr std::uint64_t kMixMultiplier = 0xff51afd7ed558ccdULL;
   Digest digest_ = kFnvOffsetBasis;
 };
 

@@ -95,6 +95,12 @@ class Rng {
     for (int i = 0; i < 4; ++i) state_[i] = state[i];
   }
 
+  /// Snapshot fields (base/archive.h): the four state words.
+  template <class A>
+  void Visit(A& a) {
+    a.Words(0x01, state_);
+  }
+
  private:
   std::uint64_t state_[4];
   DrawHook hook_ = nullptr;

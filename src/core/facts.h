@@ -79,14 +79,34 @@ class FactStore {
 
   sim::TimePoint window_start() const { return window_start_; }
 
-  /// Every live fact, sorted by key (deterministic serialization order).
+  /// Every live fact, sorted by key.
   std::vector<Fact> AllFacts() const;
 
-  /// Replaces the store's contents and counters with a snapshot. The
-  /// configured capacity still applies; excess facts are dropped.
-  void RestoreState(const std::vector<Fact>& facts,
-                    sim::TimePoint window_start, std::uint64_t evictions,
-                    std::uint64_t expirations);
+  /// Snapshot fields (base/archive.h), under the ship record's tags: one
+  /// record per fact in key order, then the window start and counters.
+  template <class A>
+  void Visit(A& a) {
+    a.Unordered(
+        0x11, facts_, [](const auto& entry) { return entry.second.key; },
+        [](auto& r, auto& entry) {
+          Fact& fact = entry.second;
+          r.U64(0x01, fact.key);
+          r.U64(0x02, fact.value);
+          r.F64(0x03, fact.weight);
+          r.U32(0x04, fact.touches_in_window);
+          r.U64(0x05, fact.last_touch);
+          r.U64(0x06, fact.created);
+        });
+    a.U64(0x12, window_start_);
+    a.U64(0x13, evictions_);
+    a.U64(0x14, expirations_);
+    if constexpr (A::kLoading) {
+      if (facts_.size() > config_.capacity) {
+        a.Fail("more facts than the store's capacity");
+      }
+      AccountMem();
+    }
+  }
 
  private:
   // Estimated heap per stored fact: the hash node (value + next pointer)

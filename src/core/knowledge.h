@@ -78,6 +78,27 @@ class FunctionTable {
   /// Functions currently filling a given first-level role.
   std::vector<const NetFunction*> ForRole(node::FirstLevelRole role) const;
 
+  /// Snapshot fields (base/archive.h), under the ship record's tags: one
+  /// knowledge-quantum record (EncodeKnowledgeQuantum's tags, no fact
+  /// snapshots) per function.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x15, functions_, [](auto& r, auto& function) {
+      r.U64(0x10, function.id);
+      r.Str(0x11, function.name);
+      r.Enum(0x12, function.role,
+             static_cast<std::uint32_t>(node::FirstLevelRole::kRoleCount),
+             "net function role out of range");
+      r.Enum(0x13, function.cls,
+             static_cast<std::uint32_t>(node::SecondLevelClass::kClassCount),
+             "net function class out of range");
+      r.U64(0x14, function.program_digest);
+      std::uint32_t version = 1;
+      r.U32(0x16, version);
+      r.U64s(0x15, function.fact_keys);
+    });
+  }
+
  private:
   std::vector<NetFunction> functions_;
 };

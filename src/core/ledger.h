@@ -63,12 +63,18 @@ class FunctionUsageLedger {
 
   std::size_t tracked_functions() const { return history_.size(); }
 
-  // ---- Snapshot/restore support (genesis) ----
-  const std::map<FunctionId, std::vector<Episode>>& history() const {
-    return history_;
-  }
-  void RestoreState(std::map<FunctionId, std::vector<Episode>> history) {
-    history_ = std::move(history);
+  /// Snapshot fields (base/archive.h): every episode of every function.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x01, history_, [](auto& r, auto& function) {
+      r.U64(0x01, function.first);
+      r.Each(0x02, function.second, [](auto& e, auto& episode) {
+        e.U64(0x01, episode.host);
+        e.U64(0x02, episode.from);
+        e.U64(0x03, episode.to);
+        e.U64(0x04, episode.uses);
+      });
+    });
   }
 
  private:

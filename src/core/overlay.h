@@ -65,13 +65,28 @@ class OverlayManager {
 
   std::uint64_t spawned_total() const { return spawned_total_; }
 
-  // ---- Snapshot/restore support (genesis) ----
-  OverlayId next_id() const { return next_id_; }
-  void RestoreState(std::map<OverlayId, Overlay> overlays, OverlayId next_id,
-                    std::uint64_t spawned_total) {
-    overlays_ = std::move(overlays);
-    next_id_ = next_id;
-    spawned_total_ = spawned_total;
+  /// Snapshot fields (base/archive.h): the id counter, the spawn count and
+  /// every overlay with its pinned virtual links.
+  template <class A>
+  void Visit(A& a) {
+    a.U32(0x01, next_id_);
+    a.U64(0x02, spawned_total_);
+    a.Each(0x03, overlays_, [](auto& r, auto& entry) {
+      Overlay& overlay = entry.second;
+      r.U32(0x01, entry.first);
+      r.Str(0x02, overlay.name);
+      r.U64s(0x03, overlay.members);
+      r.U64(0x04, overlay.qos_latency_bound);
+      r.Each(0x05, overlay.links, [](auto& l, auto& link) {
+        l.U64(0x01, link.a);
+        l.U64(0x02, link.b);
+        l.U64(0x03, link.path_latency);
+        l.U64s(0x04, link.physical_path);
+      });
+    });
+    if constexpr (A::kLoading) {
+      for (auto& [id, overlay] : overlays_) overlay.id = id;
+    }
   }
 
  private:

@@ -42,10 +42,16 @@ class DemandTracker {
 
   using Key = std::pair<net::NodeId, node::FirstLevelRole>;
 
-  // ---- Snapshot/restore support (genesis) ----
-  const std::map<Key, double>& demand() const { return demand_; }
-  void RestoreState(std::map<Key, double> demand) {
-    demand_ = std::move(demand);
+  /// Snapshot fields (base/archive.h): demand per (node, role).
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x01, demand_, [](auto& r, auto& entry) {
+      r.U64(0x01, entry.first.first);
+      r.Enum(0x02, entry.first.second,
+             static_cast<std::uint32_t>(node::FirstLevelRole::kRoleCount),
+             "first-level role out of range");
+      r.F64(0x03, entry.second);
+    });
   }
 
  private:

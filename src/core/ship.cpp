@@ -1,6 +1,7 @@
 #include "core/ship.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "core/wandering_network.h"
 #include "telemetry/latency_plane.h"
@@ -435,23 +436,8 @@ SelfDescription Ship::DescribeSelf() const {
   return desc;
 }
 
-std::unordered_map<int, double> Ship::DrainClassActivity() {
-  std::unordered_map<int, double> out;
-  out.swap(class_activity_);
-  return out;
-}
-
-void Ship::MixDigest(Hasher& hasher) const {
-  hasher.Mix(id_);
-  hasher.Mix(static_cast<std::uint64_t>(class_));
-  for (std::uint64_t word : rng_.SaveState()) hasher.Mix(word);
-  hasher.Mix(honest_ ? 1u : 0u);
-  hasher.Mix(shuttles_consumed_);
-  hasher.Mix(shuttles_forwarded_);
-  hasher.Mix(code_executions_);
-  hasher.Mix(code_misses_);
-  hasher.Mix(static_cast<std::uint64_t>(facts_.size()));
-  os_.MixDigest(hasher);
+base::FlatMap<int, double> Ship::DrainClassActivity() {
+  return std::exchange(class_activity_, {});
 }
 
 Result<std::int64_t> Ship::Invoke(vm::Syscall id,

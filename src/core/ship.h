@@ -16,6 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "base/flat_map.h"
 #include "base/rng.h"
 #include "core/dcp.h"
 #include "core/facts.h"
@@ -111,7 +112,7 @@ class Ship : public vm::Environment {
 
   /// Per-class invocation activity since the last pulse (vertical wanderer
   /// input); reading resets the window.
-  std::unordered_map<int, double> DrainClassActivity();
+  base::FlatMap<int, double> DrainClassActivity();
 
   // ---- Snapshot/restore support (genesis) ----
 
@@ -120,32 +121,40 @@ class Ship : public vm::Environment {
   Rng& rng() { return rng_; }
   const Rng& rng() const { return rng_; }
 
-  /// Mixes the ship-visible state (identity, RNG stream, workload counters,
-  /// NodeOS role/cache/hardware state) into a rolling state digest
-  /// (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
-
-  /// Current per-class activity window without draining it.
-  const std::unordered_map<int, double>& class_activity() const {
-    return class_activity_;
-  }
-  void RestoreClassActivity(std::unordered_map<int, double> activity) {
-    class_activity_ = std::move(activity);
-  }
-
   /// Shuttles parked awaiting demand-loaded code. A quiescent network (the
   /// precondition for an exact snapshot) has none.
   std::size_t waiting_for_code_count() const {
     return waiting_for_code_.size();
   }
 
-  void RestoreCounters(std::uint64_t consumed, std::uint64_t forwarded,
-                       std::uint64_t executions, std::uint64_t misses) {
-    shuttles_consumed_ = consumed;
-    shuttles_forwarded_ = forwarded;
-    code_executions_ = executions;
-    code_misses_ = misses;
+  /// Snapshot fields (base/archive.h): one ship record, identity first.
+  /// Runtime closures (role handlers, sinks) and shuttles parked for code
+  /// are not state: services re-install the former, and a snapshot is only
+  /// taken when none of the latter exist.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, id_);
+    a.Enum(0x02, class_, kShipClassEnd, "ship class out of range");
+    a.U32(0x03, honest_);
+    a.Nested(0x04, [this](auto& r) { rng_.Visit(r); });
+    a.U64(0x05, shuttles_consumed_);
+    a.U64(0x06, shuttles_forwarded_);
+    a.U64(0x07, code_executions_);
+    a.U64(0x08, code_misses_);
+    a.Each(0x09, class_activity_, [](auto& r, auto& activity) {
+      r.U64(0x01, activity.first);
+      r.F64(0x02, activity.second);
+    });
+    os_.VisitRole(a);
+    facts_.Visit(a);
+    functions_.Visit(a);
+    a.Nested(0x16, [this](auto& r) { congruence_.Visit(r); });
+    os_.VisitCode(a);
   }
+
+  /// One past the largest ShipClass value (snapshot range check).
+  static constexpr std::uint32_t kShipClassEnd =
+      static_cast<std::uint32_t>(node::ShipClass::kAgent) + 1;
 
  private:
   void Consume(const Shuttle& shuttle, net::NodeId arrived_from);
@@ -180,7 +189,7 @@ class Ship : public vm::Environment {
   // Shuttles parked until their code arrives (demand loading).
   std::unordered_map<Digest, std::vector<Shuttle>> waiting_for_code_;
 
-  std::unordered_map<int, double> class_activity_;
+  base::FlatMap<int, double> class_activity_;
 
   std::uint64_t shuttles_consumed_ = 0;
   std::uint64_t shuttles_forwarded_ = 0;

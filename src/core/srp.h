@@ -64,12 +64,15 @@ class ReputationSystem {
     bool excluded = false;
   };
 
-  // ---- Snapshot/restore support (genesis) ----
-  const std::map<net::NodeId, Entry>& entries() const { return entries_; }
-  void RestoreState(std::map<net::NodeId, Entry> entries,
-                    std::uint64_t reports) {
-    entries_ = std::move(entries);
-    reports_ = reports;
+  /// Snapshot fields (base/archive.h): the report count and every entry.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, reports_);
+    a.Each(0x02, entries_, [](auto& r, auto& entry) {
+      r.U64(0x01, entry.first);
+      r.F64(0x02, entry.second.score);
+      r.U32(0x03, entry.second.excluded);
+    });
   }
 
  private:
@@ -101,10 +104,14 @@ class ClusterManager {
 
   using Pair = std::pair<net::NodeId, net::NodeId>;
 
-  // ---- Snapshot/restore support (genesis) ----
-  const std::map<Pair, double>& affinities() const { return affinity_; }
-  void RestoreState(std::map<Pair, double> affinities) {
-    affinity_ = std::move(affinities);
+  /// Snapshot fields (base/archive.h): every pairwise affinity.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x01, affinity_, [](auto& r, auto& affinity) {
+      r.U64(0x01, affinity.first.first);
+      r.U64(0x02, affinity.first.second);
+      r.F64(0x03, affinity.second);
+    });
   }
 
  private:

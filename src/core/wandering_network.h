@@ -16,8 +16,10 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <ranges>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/hash.h"
 #include "base/rng.h"
 #include "base/status.h"
@@ -31,6 +33,7 @@
 #include "core/shuttle.h"
 #include "core/shuttle_pool.h"
 #include "core/srp.h"
+#include "genesis/section_ids.h"
 #include "net/fabric.h"
 #include "net/topology.h"
 #include "sim/simulator.h"
@@ -178,13 +181,19 @@ class WanderingNetwork {
   /// Starts the periodic pulse until `until`.
   void StartPulse(sim::TimePoint until);
 
-  /// Mixes the whole network state — RNG streams, fabric accounting,
-  /// topology structure, every ship (node order), placements, repository
-  /// contents and orchestrator counters — into a rolling state digest
-  /// (flight-recorder hook). Deliberately excludes the simulator clock,
-  /// dispatch count and the stats registry so that runs differing only in
-  /// observation probes stay comparable.
+  /// Mixes the decision state — every field VisitState lists — into a
+  /// rolling state digest (flight-recorder window hashes, shard hashes).
+  /// The simulator clock, stats, trace and telemetry stay out, so runs that
+  /// differ only in observation probes stay comparable. Allocates nothing.
   void MixDigest(Hasher& hasher) const;
+
+  /// The decision state as genesis snapshot sections, in capture order:
+  /// `a.Part(section, fields)` hands each section's field list
+  /// (base/archive.h) to `a`. Genesis encodes and decodes these sections;
+  /// MixDigest hashes them. Runtime closures (role handlers, sinks, next-hop
+  /// choosers) are not state: the services layer re-installs them.
+  template <class A>
+  void VisitState(A& a);
 
   // ---- Figure-1 metrics ----
 
@@ -233,37 +242,11 @@ class WanderingNetwork {
 
   vm::CodeRepository& repository() { return repository_; }
   const vm::CodeRepository& repository() const { return repository_; }
-  const std::map<Digest, net::NodeId>& origins() const { return origins_; }
-  const std::map<FunctionId, node::FirstLevelRole>& placement_roles() const {
-    return placement_roles_;
-  }
-  const std::map<node::SecondLevelClass, OverlayId>& class_overlays() const {
-    return class_overlays_;
-  }
-
-  /// Raw placement restore: records where a function lives without the
-  /// deploy side effects (ledger episode, role switch) — those are restored
-  /// from their own snapshot sections.
-  void RestorePlacement(FunctionId function, net::NodeId host,
-                        node::FirstLevelRole role) {
-    placements_[function] = host;
-    placement_roles_[function] = role;
-  }
-  void RestoreOrigin(Digest digest, net::NodeId origin) {
-    origins_[digest] = origin;
-  }
-  void RestoreClassOverlay(node::SecondLevelClass cls, OverlayId overlay) {
-    class_overlays_[cls] = overlay;
-  }
-  void RestoreCounters(std::uint64_t migrations, std::uint64_t emerged,
-                       std::uint64_t pulse_count, FunctionId next_function) {
-    migrations_executed_ = migrations;
-    functions_emerged_ = emerged;
-    pulses_ = pulse_count;
-    next_function_id_ = next_function;
-  }
 
  private:
+  template <class A>
+  void VisitShips(A& a);
+
   void ExecuteMigrations();
   net::NodeId FirstShipNode() const;
 
@@ -314,5 +297,85 @@ class WanderingNetwork {
   std::uint64_t functions_emerged_ = 0;
   std::uint64_t pulses_ = 0;
 };
+
+template <class A>
+void WanderingNetwork::VisitState(A& a) {
+  using namespace genesis;  // section ids
+  a.Part(kSectionTopology, [this](auto& s) { topology_.Visit(s); });
+  a.Part(kSectionRepository, [this](auto& s) {
+    repository_.Visit(s);
+    s.Each(0x02, origins_, [](auto& r, auto& origin) {
+      r.U64(0x01, origin.first);
+      r.U64(0x02, origin.second);
+    });
+  });
+  a.Part(kSectionShips, [this](auto& s) { VisitShips(s); });
+  // A placement's role lives in placement_roles_ (kCaching when unset).
+  a.Part(kSectionPlacements, [this](auto& s) {
+    s.Each(0x01, placements_, [this](auto& r, auto& placement) {
+      r.U64(0x01, placement.first);
+      r.U64(0x02, placement.second);
+      const auto role_it = placement_roles_.find(placement.first);
+      node::FirstLevelRole role = role_it != placement_roles_.end()
+                                      ? role_it->second
+                                      : node::FirstLevelRole::kCaching;
+      r.Enum(0x03, role,
+             static_cast<std::uint32_t>(node::FirstLevelRole::kRoleCount),
+             "first-level role out of range");
+      if constexpr (kLoadingArchive<decltype(r)>) {
+        placement_roles_[placement.first] = role;
+      }
+    });
+  });
+  a.Part(kSectionLedger, [this](auto& s) { ledger_.Visit(s); });
+  a.Part(kSectionReputation, [this](auto& s) { reputation_.Visit(s); });
+  a.Part(kSectionClusters, [this](auto& s) { clusters_.Visit(s); });
+  a.Part(kSectionDemand, [this](auto& s) { demand_.Visit(s); });
+  a.Part(kSectionOverlays, [this](auto& s) {
+    overlays_.Visit(s);
+    s.Each(0x04, class_overlays_, [](auto& r, auto& entry) {
+      r.Enum(0x01, entry.first,
+             static_cast<std::uint32_t>(node::SecondLevelClass::kClassCount),
+             "second-level class out of range");
+      r.U32(0x02, entry.second);
+    });
+  });
+  a.Part(kSectionMorphing, [this](auto& s) { morphing_.Visit(s); });
+  a.Part(kSectionFeedback, [this](auto& s) { feedback_.Visit(s); });
+  a.Part(kSectionNetworkCounters, [this](auto& s) {
+    s.U64(0x01, migrations_executed_);
+    s.U64(0x02, functions_emerged_);
+    s.U64(0x03, pulses_);
+    s.U64(0x04, next_function_id_);
+  });
+  a.Part(kSectionNetworkRng, [this](auto& s) { rng_.Visit(s); });
+  a.Part(kSectionFabric, [this](auto& s) { fabric_.Visit(s); });
+}
+
+// One record per ship in node order. Loading needs a network without ships
+// and reads each record's identity first, since AddShip() must construct
+// the ship (forking the network RNG, installing its fabric handler) before
+// its fields can be read into it.
+template <class A>
+void WanderingNetwork::VisitShips(A& a) {
+  if constexpr (A::kLoading) {
+    if (ship_count_ != 0) {
+      return a.Fail(
+          FailedPrecondition("ship restore requires a network with no ships"));
+    }
+    a.ForRecords(0x01, [this](auto& r) {
+      net::NodeId node = net::kInvalidNode;
+      node::ShipClass ship_class = node::ShipClass::kServer;
+      r.U64(0x01, node);
+      r.Enum(0x02, ship_class, Ship::kShipClassEnd, "ship class out of range");
+      if (node == net::kInvalidNode) r.Fail("ship record missing node");
+      if (r.ok()) AddShip(node, ship_class).Visit(r);
+    });
+  } else {
+    auto live = [](const auto& ship) { return ship != nullptr; };
+    a.Each(0x01, ships_ | std::views::filter(live),
+           [](auto& r, auto& ship) { ship->Visit(r); });
+  }
+}
 
 }  // namespace viator::wli

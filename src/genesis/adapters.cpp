@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "base/archive.h"
 #include "base/tlv.h"
 #include "genesis/sections.h"
 
@@ -24,7 +25,7 @@ constexpr TlvTag kTagFailCount = 0x02;
 
 std::vector<std::byte> FailureInjectorAdapter::Save() const {
   TlvWriter w;
-  w.PutNested(kTagFailRng, SaveRng(injector_.rng()));
+  w.PutNested(kTagFailRng, EncodeFields(injector_.rng()));
   w.PutU64(kTagFailCount, injector_.failures_injected());
   return w.Finish();
 }
@@ -37,7 +38,9 @@ Status FailureInjectorAdapter::Load(std::span<const std::byte> payload) {
     auto rec = r.Next();
     if (!rec.ok()) return rec.status();
     if (rec->tag == kTagFailRng) {
-      if (Status s = LoadRng(rec->payload, injector_.rng()); !s.ok()) return s;
+      if (Status s = DecodeFields(rec->payload, injector_.rng()); !s.ok()) {
+        return s;
+      }
     }
     if (rec->tag == kTagFailCount) count = rec->AsU64();
   }
@@ -61,7 +64,7 @@ constexpr TlvTag kTagMobPinned = 0x07;
 
 std::vector<std::byte> MobilityAdapter::Save() const {
   TlvWriter w;
-  w.PutNested(kTagMobRng, SaveRng(mobility_.rng()));
+  w.PutNested(kTagMobRng, EncodeFields(mobility_.rng()));
   for (std::size_t i = 0; i < mobility_.positions().size(); ++i) {
     const net::Position& pos = mobility_.positions()[i];
     const net::RandomWaypointMobility::NodeState& state =
@@ -120,7 +123,9 @@ Status MobilityAdapter::Load(std::span<const std::byte> payload) {
         std::to_string(mobility_.positions().size()));
   }
   if (!rng_payload.empty()) {
-    if (Status s = LoadRng(rng_payload, mobility_.rng()); !s.ok()) return s;
+    if (Status s = DecodeFields(rng_payload, mobility_.rng()); !s.ok()) {
+      return s;
+    }
   }
   mobility_.RestoreState(std::move(positions), std::move(states),
                          std::move(pinned));

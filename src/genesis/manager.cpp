@@ -41,28 +41,9 @@ bool GenesisManager::IsQuiescent() const {
 
 std::vector<GenesisManager::BuiltSection> GenesisManager::BuildSections() {
   std::vector<BuiltSection> sections;
-  auto add = [&sections](std::uint32_t id, std::vector<std::byte> payload) {
-    sections.push_back(BuiltSection{id, 1, std::move(payload)});
-  };
-  add(kSectionTopology, SaveTopology(network_.topology()));
-  add(kSectionClock, SaveClock(network_.simulator()));
-  add(kSectionRepository, SaveRepository(network_));
-  add(kSectionShips, SaveShips(network_));
-  add(kSectionPlacements, SavePlacements(network_));
-  add(kSectionLedger, SaveLedger(network_));
-  add(kSectionReputation, SaveReputation(network_));
-  add(kSectionClusters, SaveClusters(network_));
-  add(kSectionDemand, SaveDemand(network_));
-  add(kSectionOverlays, SaveOverlays(network_));
-  add(kSectionMorphing, SaveMorphing(network_));
-  add(kSectionFeedback, SaveFeedback(network_));
-  add(kSectionNetworkCounters, SaveNetworkCounters(network_));
-  add(kSectionNetworkRng, SaveRng(network_.rng()));
-  add(kSectionFabric, SaveFabric(network_));
-  add(kSectionStats, SaveStats(network_.stats()));
-  add(kSectionTrace, SaveTrace(network_.trace()));
-  add(kSectionMemPeaks, SaveMemPeaks(network_));
-  add(kSectionLatency, SaveLatency(network_));
+  for (std::uint32_t id : kSectionOrder) {
+    sections.push_back(BuiltSection{id, 1, SaveSection(id, network_)});
+  }
   for (const Snapshotable* extra : extras_) {
     sections.push_back(
         BuiltSection{extra->section_id(), extra->section_version(),
@@ -141,57 +122,12 @@ Status GenesisManager::RestoreFull(std::span<const std::byte> bytes) {
     return FailedPrecondition("restore requires an idle simulator");
   }
 
-  // Dependency order: substrate (topology, clock) first, then code, then
-  // ships (AddShip forks the network RNG and installs fabric handlers), then
-  // engine state, and only then the RNG streams the earlier steps perturbed.
   const ParsedSnapshot& snap = *snapshot;
-  struct Step {
-    std::uint32_t id;
-    Status (*apply)(std::span<const std::byte>, wli::WanderingNetwork&);
-  };
-  static constexpr Step kSteps[] = {
-      {kSectionTopology,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadTopology(p, n.topology());
-       }},
-      {kSectionClock,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadClock(p, n.simulator());
-       }},
-      {kSectionRepository, &LoadRepository},
-      {kSectionShips, &LoadShips},
-      {kSectionPlacements, &LoadPlacements},
-      {kSectionLedger, &LoadLedger},
-      {kSectionReputation, &LoadReputation},
-      {kSectionClusters, &LoadClusters},
-      {kSectionDemand, &LoadDemand},
-      {kSectionOverlays, &LoadOverlays},
-      {kSectionMorphing, &LoadMorphing},
-      {kSectionFeedback, &LoadFeedback},
-      {kSectionNetworkCounters, &LoadNetworkCounters},
-      {kSectionNetworkRng,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadRng(p, n.rng());
-       }},
-      {kSectionFabric, &LoadFabric},
-      {kSectionStats,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadStats(p, n.stats());
-       }},
-      {kSectionTrace,
-       [](std::span<const std::byte> p, wli::WanderingNetwork& n) {
-         return LoadTrace(p, n.trace());
-       }},
-      // Last on purpose: by now every pending event has been rescheduled,
-      // so the monotone queue-peak restore sits on top of the rebuild.
-      {kSectionMemPeaks, &LoadMemPeaks},
-      {kSectionLatency, &LoadLatency},
-  };
-  for (const Step& step : kSteps) {
-    const SectionRecord* section = snap.Find(step.id);
+  for (std::uint32_t id : kSectionOrder) {
+    const SectionRecord* section = snap.Find(id);
     if (section == nullptr) continue;  // absent sections keep fresh state
-    if (Status s = step.apply(section->payload, network_); !s.ok()) {
-      return Status(s.code(), "restoring section '" + SectionName(step.id) +
+    if (Status s = LoadSection(id, section->payload, network_); !s.ok()) {
+      return Status(s.code(), "restoring section '" + SectionName(id) +
                                   "': " + std::string(s.message()));
     }
   }

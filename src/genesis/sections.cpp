@@ -1,10 +1,9 @@
 #include "genesis/sections.h"
 
-#include <algorithm>
-#include <map>
 #include <optional>
 #include <utility>
 
+#include "base/archive.h"
 #include "base/tlv.h"
 
 namespace viator::genesis {
@@ -14,20 +13,6 @@ namespace {
 
 Status BadPayload(const char* what) {
   return InvalidArgument(std::string("genesis section payload: ") + what);
-}
-
-Result<node::FirstLevelRole> CheckRole(std::uint32_t raw) {
-  if (raw >= static_cast<std::uint32_t>(node::FirstLevelRole::kRoleCount)) {
-    return Status(BadPayload("first-level role out of range"));
-  }
-  return static_cast<node::FirstLevelRole>(raw);
-}
-
-Result<node::SecondLevelClass> CheckClass(std::uint32_t raw) {
-  if (raw >= static_cast<std::uint32_t>(node::SecondLevelClass::kClassCount)) {
-    return Status(BadPayload("second-level class out of range"));
-  }
-  return static_cast<node::SecondLevelClass>(raw);
 }
 
 // Every section payload is itself a checksummed TLV stream; loads verify the
@@ -72,36 +57,6 @@ Status LoadClock(std::span<const std::byte> payload,
     if (rec->tag == kTagScheduleOrdinal) ordinal = rec->AsU64();
   }
   return simulator.RestoreClock(now, dispatched, ordinal);
-}
-
-// ---- RNG ------------------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagRngWord = 0x01;
-}
-
-std::vector<std::byte> SaveRng(const Rng& rng) {
-  TlvWriter w;
-  for (std::uint64_t word : rng.SaveState()) w.PutU64(kTagRngWord, word);
-  return w.Finish();
-}
-
-Status LoadRng(std::span<const std::byte> payload, Rng& rng) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::array<std::uint64_t, 4> words{};
-  std::size_t count = 0;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag == kTagRngWord) {
-      if (count >= words.size()) return BadPayload("too many RNG words");
-      words[count++] = rec->AsU64();
-    }
-  }
-  if (count != words.size()) return BadPayload("missing RNG words");
-  rng.RestoreState(words);
-  return OkStatus();
 }
 
 // ---- Stats ----------------------------------------------------------------
@@ -339,1224 +294,57 @@ Status LoadTrace(std::span<const std::byte> payload, sim::TraceSink& trace) {
   return OkStatus();
 }
 
-// ---- Topology -------------------------------------------------------------
+// ---- Decision state ---------------------------------------------------------
 
 namespace {
-constexpr TlvTag kTagNodeCount = 0x01;
-constexpr TlvTag kTagNodeUp = 0x02;
-constexpr TlvTag kTagLink = 0x03;
-constexpr TlvTag kTagLinkA = 0x01;
-constexpr TlvTag kTagLinkB = 0x02;
-constexpr TlvTag kTagLinkBandwidth = 0x03;
-constexpr TlvTag kTagLinkLatency = 0x04;
-constexpr TlvTag kTagLinkLoss = 0x05;
-constexpr TlvTag kTagLinkQueue = 0x06;
-constexpr TlvTag kTagLinkUp = 0x07;
+
+// Takes one section's field list out of WanderingNetwork::VisitState and runs
+// it through `archive`.
+template <class Archive>
+struct OneSection {
+  std::uint32_t id;
+  Archive& archive;
+
+  template <class Fn>
+  void Part(std::uint32_t section, Fn&& fields) {
+    if (section == id) fields(archive);
+  }
+};
+
 }  // namespace
 
-std::vector<std::byte> SaveTopology(const net::Topology& topology) {
-  TlvWriter w;
-  w.PutU64(kTagNodeCount, topology.node_count());
-  for (net::NodeId n = 0; n < topology.node_count(); ++n) {
-    w.PutU32(kTagNodeUp, topology.IsNodeUp(n) ? 1 : 0);
-  }
-  for (net::LinkId id = 0; id < topology.link_count(); ++id) {
-    const net::Link& link = topology.link(id);
-    TlvWriter inner;
-    inner.PutU64(kTagLinkA, link.a);
-    inner.PutU64(kTagLinkB, link.b);
-    inner.PutDouble(kTagLinkBandwidth, link.config.bandwidth_bps);
-    inner.PutU64(kTagLinkLatency, link.config.latency);
-    inner.PutDouble(kTagLinkLoss, link.config.loss_probability);
-    inner.PutU32(kTagLinkQueue, link.config.queue_capacity_bytes);
-    inner.PutU32(kTagLinkUp, link.up ? 1 : 0);
-    w.PutNested(kTagLink, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadTopology(std::span<const std::byte> payload,
-                    net::Topology& topology) {
-  if (topology.node_count() != 0 || topology.link_count() != 0) {
-    return FailedPrecondition(
-        "topology restore requires an empty topology");
-  }
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-
-  std::uint64_t node_count = 0;
-  std::vector<bool> node_up;
-  struct LinkSpec {
-    net::NodeId a, b;
-    net::LinkConfig config;
-    bool up;
-  };
-  std::vector<LinkSpec> links;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagNodeCount: node_count = rec->AsU64(); break;
-      case kTagNodeUp: node_up.push_back(rec->AsU32() != 0); break;
-      case kTagLink: {
-        TlvReader inner(rec->payload);
-        LinkSpec spec{net::kInvalidNode, net::kInvalidNode, {}, true};
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          switch (f->tag) {
-            case kTagLinkA:
-              spec.a = static_cast<net::NodeId>(f->AsU64());
-              break;
-            case kTagLinkB:
-              spec.b = static_cast<net::NodeId>(f->AsU64());
-              break;
-            case kTagLinkBandwidth:
-              spec.config.bandwidth_bps = f->AsDouble();
-              break;
-            case kTagLinkLatency: spec.config.latency = f->AsU64(); break;
-            case kTagLinkLoss:
-              spec.config.loss_probability = f->AsDouble();
-              break;
-            case kTagLinkQueue:
-              spec.config.queue_capacity_bytes = f->AsU32();
-              break;
-            case kTagLinkUp: spec.up = f->AsU32() != 0; break;
-            default: break;
-          }
-        }
-        links.push_back(std::move(spec));
-        break;
-      }
-      default:
-        break;
+std::vector<std::byte> SaveSection(std::uint32_t id,
+                                   wli::WanderingNetwork& network) {
+  switch (id) {
+    case kSectionClock: return SaveClock(network.simulator());
+    case kSectionStats: return SaveStats(network.stats());
+    case kSectionTrace: return SaveTrace(network.trace());
+    case kSectionMemPeaks: return SaveMemPeaks(network);
+    case kSectionLatency: return SaveLatency(network);
+    default: {
+      TlvEncoder encoder;
+      OneSection<TlvEncoder> section{id, encoder};
+      network.VisitState(section);
+      return encoder.Finish();
     }
   }
-  if (node_up.size() != node_count) {
-    return BadPayload("topology node flag count mismatch");
-  }
-  for (const LinkSpec& spec : links) {
-    if (spec.a >= node_count || spec.b >= node_count || spec.a == spec.b) {
-      return BadPayload("topology link endpoint out of range");
-    }
-  }
-  if (node_count > 0) topology.AddNodes(node_count);
-  for (const LinkSpec& spec : links) {
-    topology.AddLink(spec.a, spec.b, spec.config);
-  }
-  // Node flags first (SetNodeUp toggles incident links), then exact link
-  // flags, so the final link state matches the capture bit for bit.
-  for (net::NodeId n = 0; n < node_up.size(); ++n) {
-    if (!node_up[n]) topology.SetNodeUp(n, false);
-  }
-  for (net::LinkId id = 0; id < links.size(); ++id) {
-    topology.SetLinkUp(id, links[id].up);
-  }
-  return OkStatus();
 }
 
-// ---- Fabric ---------------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagFramesDelivered = 0x01;
-constexpr TlvTag kTagFramesDropped = 0x02;
-constexpr TlvTag kTagBytesSent = 0x03;
-constexpr TlvTag kTagNextFrame = 0x04;
-constexpr TlvTag kTagFabricRng = 0x05;
-constexpr TlvTag kTagLinkBytes = 0x06;
-}  // namespace
-
-std::vector<std::byte> SaveFabric(wli::WanderingNetwork& network) {
-  net::Fabric& fabric = network.fabric();
-  TlvWriter w;
-  w.PutU64(kTagFramesDelivered, fabric.frames_delivered());
-  w.PutU64(kTagFramesDropped, fabric.frames_dropped());
-  w.PutU64(kTagBytesSent, fabric.bytes_sent());
-  w.PutU64(kTagNextFrame, fabric.next_frame_id());
-  w.PutNested(kTagFabricRng, SaveRng(fabric.rng()));
-  for (std::uint64_t bytes : fabric.link_bytes()) {
-    w.PutU64(kTagLinkBytes, bytes);
-  }
-  return w.Finish();
-}
-
-Status LoadFabric(std::span<const std::byte> payload,
-                  wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::uint64_t delivered = 0, dropped = 0, bytes = 0, next_frame = 1;
-  std::vector<std::uint64_t> link_bytes;
-  bool have_rng = false;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagFramesDelivered: delivered = rec->AsU64(); break;
-      case kTagFramesDropped: dropped = rec->AsU64(); break;
-      case kTagBytesSent: bytes = rec->AsU64(); break;
-      case kTagNextFrame: next_frame = rec->AsU64(); break;
-      case kTagFabricRng: {
-        if (Status s = LoadRng(rec->payload, network.fabric().rng()); !s.ok()) {
-          return s;
-        }
-        have_rng = true;
-        break;
-      }
-      case kTagLinkBytes: link_bytes.push_back(rec->AsU64()); break;
-      default: break;
-    }
-  }
-  if (!have_rng) return BadPayload("fabric section missing RNG state");
-  network.fabric().RestoreState(std::move(link_bytes), delivered, dropped,
-                                bytes, next_frame);
-  return OkStatus();
-}
-
-// ---- Code repository + origins --------------------------------------------
-
-namespace {
-constexpr TlvTag kTagProgram = 0x01;
-constexpr TlvTag kTagOrigin = 0x02;
-constexpr TlvTag kTagOriginDigest = 0x01;
-constexpr TlvTag kTagOriginNode = 0x02;
-}  // namespace
-
-std::vector<std::byte> SaveRepository(const wli::WanderingNetwork& network) {
-  TlvWriter w;
-  for (Digest digest : network.repository().Digests()) {
-    const vm::Program* program = network.repository().Find(digest);
-    if (program != nullptr) w.PutNested(kTagProgram, program->Serialize());
-  }
-  for (const auto& [digest, node] : network.origins()) {
-    TlvWriter inner;
-    inner.PutU64(kTagOriginDigest, digest);
-    inner.PutU64(kTagOriginNode, node);
-    w.PutNested(kTagOrigin, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadRepository(std::span<const std::byte> payload,
-                      wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag == kTagProgram) {
-      auto program = vm::Program::Deserialize(rec->payload);
-      if (!program.ok()) return program.status();
-      auto digest = network.repository().Install(*std::move(program));
-      if (!digest.ok()) return digest.status();
-    } else if (rec->tag == kTagOrigin) {
-      TlvReader inner(rec->payload);
-      Digest digest = 0;
-      net::NodeId node = net::kInvalidNode;
-      while (inner.HasNext()) {
-        auto f = inner.Next();
-        if (!f.ok()) return f.status();
-        if (f->tag == kTagOriginDigest) digest = f->AsU64();
-        if (f->tag == kTagOriginNode) {
-          node = static_cast<net::NodeId>(f->AsU64());
-        }
-      }
-      network.RestoreOrigin(digest, node);
-    }
-  }
-  return OkStatus();
-}
-
-// ---- Ships ----------------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagShip = 0x01;
-// ship inner
-constexpr TlvTag kTagShipNode = 0x01;
-constexpr TlvTag kTagShipClass = 0x02;
-constexpr TlvTag kTagShipHonest = 0x03;
-constexpr TlvTag kTagShipRng = 0x04;
-constexpr TlvTag kTagShipConsumed = 0x05;
-constexpr TlvTag kTagShipForwarded = 0x06;
-constexpr TlvTag kTagShipExecutions = 0x07;
-constexpr TlvTag kTagShipMisses = 0x08;
-constexpr TlvTag kTagShipActivity = 0x09;
-constexpr TlvTag kTagShipRoleCurrent = 0x0A;
-constexpr TlvTag kTagShipRoleNext = 0x0B;
-constexpr TlvTag kTagShipRoleSwitches = 0x0C;
-constexpr TlvTag kTagShipEpochFuel = 0x0D;
-constexpr TlvTag kTagShipTotalFuel = 0x0E;
-constexpr TlvTag kTagShipMemory = 0x0F;
-constexpr TlvTag kTagShipPending = 0x10;
-constexpr TlvTag kTagShipFact = 0x11;
-constexpr TlvTag kTagShipFactWindow = 0x12;
-constexpr TlvTag kTagShipFactEvictions = 0x13;
-constexpr TlvTag kTagShipFactExpirations = 0x14;
-constexpr TlvTag kTagShipFunction = 0x15;
-constexpr TlvTag kTagShipCongruence = 0x16;
-constexpr TlvTag kTagShipCachedProgram = 0x17;
-constexpr TlvTag kTagShipCacheHits = 0x18;
-constexpr TlvTag kTagShipCacheMisses = 0x19;
-constexpr TlvTag kTagShipEe = 0x1A;
-constexpr TlvTag kTagShipHwModule = 0x1B;
-constexpr TlvTag kTagShipHwReconfigs = 0x1C;
-// activity inner
-constexpr TlvTag kTagActivityClass = 0x01;
-constexpr TlvTag kTagActivityValue = 0x02;
-// fact inner
-constexpr TlvTag kTagFactKey = 0x01;
-constexpr TlvTag kTagFactValue = 0x02;
-constexpr TlvTag kTagFactWeight = 0x03;
-constexpr TlvTag kTagFactTouches = 0x04;
-constexpr TlvTag kTagFactLastTouch = 0x05;
-constexpr TlvTag kTagFactCreated = 0x06;
-// congruence inner
-constexpr TlvTag kTagCongPredicted = 0x01;
-constexpr TlvTag kTagCongScore = 0x02;
-constexpr TlvTag kTagCongObservations = 0x03;
-constexpr TlvTag kTagCongVote = 0x04;
-constexpr TlvTag kTagVoteInterface = 0x01;
-constexpr TlvTag kTagVoteWeight = 0x02;
-// EE inner
-constexpr TlvTag kTagEeId = 0x01;
-constexpr TlvTag kTagEeClass = 0x02;
-constexpr TlvTag kTagEeBinding = 0x03;
-constexpr TlvTag kTagEeResident = 0x04;
-constexpr TlvTag kTagEeInvocations = 0x05;
-constexpr TlvTag kTagEeFaults = 0x06;
-constexpr TlvTag kTagEeFuel = 0x07;
-// hardware module inner
-constexpr TlvTag kTagHwId = 0x01;
-constexpr TlvTag kTagHwName = 0x02;
-constexpr TlvTag kTagHwClass = 0x03;
-constexpr TlvTag kTagHwGates = 0x04;
-constexpr TlvTag kTagHwSpeedup = 0x05;
-constexpr TlvTag kTagHwDriver = 0x06;
-constexpr TlvTag kTagHwActive = 0x07;
-
-std::vector<std::byte> SaveOneShip(wli::Ship& ship) {
-  TlvWriter w;
-  w.PutU64(kTagShipNode, ship.id());
-  w.PutU32(kTagShipClass, static_cast<std::uint32_t>(ship.ship_class()));
-  w.PutU32(kTagShipHonest, ship.honest() ? 1 : 0);
-  w.PutNested(kTagShipRng, SaveRng(ship.rng()));
-  w.PutU64(kTagShipConsumed, ship.shuttles_consumed());
-  w.PutU64(kTagShipForwarded, ship.shuttles_forwarded());
-  w.PutU64(kTagShipExecutions, ship.code_executions());
-  w.PutU64(kTagShipMisses, ship.code_misses());
-
-  // Class activity, sorted for deterministic bytes.
-  std::map<int, double> activity(ship.class_activity().begin(),
-                                 ship.class_activity().end());
-  for (const auto& [cls, value] : activity) {
-    TlvWriter inner;
-    inner.PutU64(kTagActivityClass, static_cast<std::uint64_t>(cls));
-    inner.PutDouble(kTagActivityValue, value);
-    w.PutNested(kTagShipActivity, inner.Finish());
-  }
-
-  const node::NodeOs& os = ship.os();
-  w.PutU32(kTagShipRoleCurrent,
-           static_cast<std::uint32_t>(os.current_role()));
-  w.PutU32(kTagShipRoleNext, static_cast<std::uint32_t>(os.next_step()));
-  w.PutU64(kTagShipRoleSwitches, os.role_switches());
-  w.PutU64(kTagShipEpochFuel, os.resources().epoch_fuel_used());
-  w.PutU64(kTagShipTotalFuel, os.resources().total_fuel_used());
-  w.PutU64(kTagShipMemory, os.resources().memory_used());
-  w.PutU32(kTagShipPending, os.resources().pending_shuttles());
-
-  for (const wli::Fact& fact : ship.facts().AllFacts()) {
-    TlvWriter inner;
-    inner.PutU64(kTagFactKey, fact.key);
-    inner.PutU64(kTagFactValue, static_cast<std::uint64_t>(fact.value));
-    inner.PutDouble(kTagFactWeight, fact.weight);
-    inner.PutU32(kTagFactTouches, fact.touches_in_window);
-    inner.PutU64(kTagFactLastTouch, fact.last_touch);
-    inner.PutU64(kTagFactCreated, fact.created);
-    w.PutNested(kTagShipFact, inner.Finish());
-  }
-  w.PutU64(kTagShipFactWindow, ship.facts().window_start());
-  w.PutU64(kTagShipFactEvictions, ship.facts().total_evictions());
-  w.PutU64(kTagShipFactExpirations, ship.facts().total_expirations());
-
-  for (const wli::NetFunction& fn : ship.functions().functions()) {
-    wli::KnowledgeQuantum kq;
-    kq.function = fn;
-    w.PutNested(kTagShipFunction, wli::EncodeKnowledgeQuantum(kq));
-  }
-
-  const wli::CongruenceTracker::RawState cong = ship.congruence().SaveState();
-  {
-    TlvWriter inner;
-    inner.PutU32(kTagCongPredicted, cong.predicted);
-    inner.PutDouble(kTagCongScore, cong.score);
-    inner.PutU64(kTagCongObservations, cong.observations);
-    for (const auto& [iface, weight] : cong.votes) {
-      TlvWriter vw;
-      vw.PutU32(kTagVoteInterface, iface);
-      vw.PutDouble(kTagVoteWeight, weight);
-      inner.PutNested(kTagCongVote, vw.Finish());
-    }
-    w.PutNested(kTagShipCongruence, inner.Finish());
-  }
-
-  // Code cache: inline images MRU-first; restore Put()s them LRU-first.
-  node::NodeOs& mutable_os = ship.os();
-  vm::CodeCache& cache = mutable_os.code_cache();
-  for (Digest digest : cache.LruDigests()) {
-    if (const vm::Program* program = cache.Peek(digest); program != nullptr) {
-      w.PutNested(kTagShipCachedProgram, program->Serialize());
-    }
-  }
-  w.PutU64(kTagShipCacheHits, cache.hits());
-  w.PutU64(kTagShipCacheMisses, cache.misses());
-
-  // EEs in id order so restore recreates them with identical ids.
-  std::vector<const node::ExecutionEnvironment*> ees;
-  for (const auto& [cls, ee] : os.ees()) ees.push_back(ee.get());
-  std::sort(ees.begin(), ees.end(),
-            [](const auto* a, const auto* b) { return a->id() < b->id(); });
-  for (const node::ExecutionEnvironment* ee : ees) {
-    TlvWriter inner;
-    inner.PutU32(kTagEeId, ee->id());
-    inner.PutU32(kTagEeClass, static_cast<std::uint32_t>(ee->function_class()));
-    inner.PutU32(kTagEeBinding, static_cast<std::uint32_t>(ee->binding()));
-    for (Digest digest : ee->residents()) {
-      inner.PutU64(kTagEeResident, digest);
-    }
-    inner.PutU64(kTagEeInvocations, ee->invocations());
-    inner.PutU64(kTagEeFaults, ee->faults());
-    inner.PutU64(kTagEeFuel, ee->fuel_consumed());
-    w.PutNested(kTagShipEe, inner.Finish());
-  }
-
-  for (const node::HardwarePlane::Slot& slot : os.hardware().slots()) {
-    TlvWriter inner;
-    inner.PutU32(kTagHwId, slot.module.module_id);
-    inner.PutString(kTagHwName, slot.module.name);
-    inner.PutU32(kTagHwClass,
-                 static_cast<std::uint32_t>(slot.module.accelerates));
-    inner.PutU32(kTagHwGates, slot.module.gate_count);
-    inner.PutDouble(kTagHwSpeedup, slot.module.speedup);
-    inner.PutU64(kTagHwDriver, slot.module.driver_digest);
-    inner.PutU32(kTagHwActive, slot.driver_active ? 1 : 0);
-    w.PutNested(kTagShipHwModule, inner.Finish());
-  }
-  w.PutU64(kTagShipHwReconfigs, os.hardware().reconfigurations());
-  return w.Finish();
-}
-
-Status LoadOneShip(std::span<const std::byte> bytes,
+Status LoadSection(std::uint32_t id, std::span<const std::byte> payload,
                    wli::WanderingNetwork& network) {
-  TlvReader r(bytes);
-
-  net::NodeId node = net::kInvalidNode;
-  std::uint32_t ship_class_raw = 0;
-  bool honest = true;
-  std::span<const std::byte> rng_payload;
-  std::uint64_t consumed = 0, forwarded = 0, executions = 0, misses = 0;
-  std::unordered_map<int, double> activity;
-  std::uint32_t role_current = 0, role_next = 0;
-  std::uint64_t role_switches = 0;
-  std::uint64_t epoch_fuel = 0, total_fuel = 0, memory = 0;
-  std::uint32_t pending = 0;
-  std::vector<wli::Fact> facts;
-  sim::TimePoint fact_window = 0;
-  std::uint64_t fact_evictions = 0, fact_expirations = 0;
-  std::vector<wli::NetFunction> functions;
-  wli::CongruenceTracker::RawState congruence;
-  std::vector<vm::Program> cached_programs;  // MRU-first
-  std::uint64_t cache_hits = 0, cache_misses = 0;
-  struct EeSpec {
-    std::uint32_t id = 0;
-    node::SecondLevelClass cls = node::SecondLevelClass::kSupplementary;
-    node::RoleBinding binding = node::RoleBinding::kAuxiliary;
-    std::vector<Digest> residents;
-    std::uint64_t invocations = 0, faults = 0, fuel = 0;
-  };
-  std::vector<EeSpec> ees;
-  struct HwSpec {
-    node::HardwareModule module;
-    bool active = false;
-  };
-  std::vector<HwSpec> hw_modules;
-  std::uint64_t hw_reconfigs = 0;
-
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagShipNode:
-        node = static_cast<net::NodeId>(rec->AsU64());
-        break;
-      case kTagShipClass: ship_class_raw = rec->AsU32(); break;
-      case kTagShipHonest: honest = rec->AsU32() != 0; break;
-      case kTagShipRng: rng_payload = rec->payload; break;
-      case kTagShipConsumed: consumed = rec->AsU64(); break;
-      case kTagShipForwarded: forwarded = rec->AsU64(); break;
-      case kTagShipExecutions: executions = rec->AsU64(); break;
-      case kTagShipMisses: misses = rec->AsU64(); break;
-      case kTagShipActivity: {
-        TlvReader inner(rec->payload);
-        int cls = 0;
-        double value = 0.0;
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          if (f->tag == kTagActivityClass) {
-            cls = static_cast<int>(f->AsU64());
-          }
-          if (f->tag == kTagActivityValue) value = f->AsDouble();
-        }
-        activity[cls] = value;
-        break;
-      }
-      case kTagShipRoleCurrent: role_current = rec->AsU32(); break;
-      case kTagShipRoleNext: role_next = rec->AsU32(); break;
-      case kTagShipRoleSwitches: role_switches = rec->AsU64(); break;
-      case kTagShipEpochFuel: epoch_fuel = rec->AsU64(); break;
-      case kTagShipTotalFuel: total_fuel = rec->AsU64(); break;
-      case kTagShipMemory: memory = rec->AsU64(); break;
-      case kTagShipPending: pending = rec->AsU32(); break;
-      case kTagShipFact: {
-        TlvReader inner(rec->payload);
-        wli::Fact fact;
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          switch (f->tag) {
-            case kTagFactKey: fact.key = f->AsU64(); break;
-            case kTagFactValue:
-              fact.value = static_cast<std::int64_t>(f->AsU64());
-              break;
-            case kTagFactWeight: fact.weight = f->AsDouble(); break;
-            case kTagFactTouches: fact.touches_in_window = f->AsU32(); break;
-            case kTagFactLastTouch: fact.last_touch = f->AsU64(); break;
-            case kTagFactCreated: fact.created = f->AsU64(); break;
-            default: break;
-          }
-        }
-        facts.push_back(fact);
-        break;
-      }
-      case kTagShipFactWindow: fact_window = rec->AsU64(); break;
-      case kTagShipFactEvictions: fact_evictions = rec->AsU64(); break;
-      case kTagShipFactExpirations: fact_expirations = rec->AsU64(); break;
-      case kTagShipFunction: {
-        auto kq = wli::DecodeKnowledgeQuantum(rec->payload);
-        if (!kq.ok()) return kq.status();
-        functions.push_back(kq->function);
-        break;
-      }
-      case kTagShipCongruence: {
-        TlvReader inner(rec->payload);
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          switch (f->tag) {
-            case kTagCongPredicted: congruence.predicted = f->AsU32(); break;
-            case kTagCongScore: congruence.score = f->AsDouble(); break;
-            case kTagCongObservations:
-              congruence.observations = f->AsU64();
-              break;
-            case kTagCongVote: {
-              TlvReader vr(f->payload);
-              wli::InterfaceId iface = 0;
-              double weight = 0.0;
-              while (vr.HasNext()) {
-                auto vf = vr.Next();
-                if (!vf.ok()) return vf.status();
-                if (vf->tag == kTagVoteInterface) iface = vf->AsU32();
-                if (vf->tag == kTagVoteWeight) weight = vf->AsDouble();
-              }
-              congruence.votes[iface] = weight;
-              break;
-            }
-            default: break;
-          }
-        }
-        break;
-      }
-      case kTagShipCachedProgram: {
-        auto program = vm::Program::Deserialize(rec->payload);
-        if (!program.ok()) return program.status();
-        cached_programs.push_back(*std::move(program));
-        break;
-      }
-      case kTagShipCacheHits: cache_hits = rec->AsU64(); break;
-      case kTagShipCacheMisses: cache_misses = rec->AsU64(); break;
-      case kTagShipEe: {
-        TlvReader inner(rec->payload);
-        EeSpec spec;
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          switch (f->tag) {
-            case kTagEeId: spec.id = f->AsU32(); break;
-            case kTagEeClass: {
-              auto cls = CheckClass(f->AsU32());
-              if (!cls.ok()) return cls.status();
-              spec.cls = *cls;
-              break;
-            }
-            case kTagEeBinding: {
-              const std::uint32_t binding = f->AsU32();
-              if (binding >
-                  static_cast<std::uint32_t>(node::RoleBinding::kAuxiliary)) {
-                return BadPayload("EE binding out of range");
-              }
-              spec.binding = static_cast<node::RoleBinding>(binding);
-              break;
-            }
-            case kTagEeResident: spec.residents.push_back(f->AsU64()); break;
-            case kTagEeInvocations: spec.invocations = f->AsU64(); break;
-            case kTagEeFaults: spec.faults = f->AsU64(); break;
-            case kTagEeFuel: spec.fuel = f->AsU64(); break;
-            default: break;
-          }
-        }
-        ees.push_back(std::move(spec));
-        break;
-      }
-      case kTagShipHwModule: {
-        TlvReader inner(rec->payload);
-        HwSpec spec;
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          switch (f->tag) {
-            case kTagHwId: spec.module.module_id = f->AsU32(); break;
-            case kTagHwName: spec.module.name = f->AsString(); break;
-            case kTagHwClass: {
-              auto cls = CheckClass(f->AsU32());
-              if (!cls.ok()) return cls.status();
-              spec.module.accelerates = *cls;
-              break;
-            }
-            case kTagHwGates: spec.module.gate_count = f->AsU32(); break;
-            case kTagHwSpeedup: spec.module.speedup = f->AsDouble(); break;
-            case kTagHwDriver: spec.module.driver_digest = f->AsU64(); break;
-            case kTagHwActive: spec.active = f->AsU32() != 0; break;
-            default: break;
-          }
-        }
-        hw_modules.push_back(std::move(spec));
-        break;
-      }
-      case kTagShipHwReconfigs: hw_reconfigs = rec->AsU64(); break;
-      default:
-        break;
+  switch (id) {
+    case kSectionClock: return LoadClock(payload, network.simulator());
+    case kSectionStats: return LoadStats(payload, network.stats());
+    case kSectionTrace: return LoadTrace(payload, network.trace());
+    case kSectionMemPeaks: return LoadMemPeaks(payload, network);
+    case kSectionLatency: return LoadLatency(payload, network);
+    default: {
+      TlvDecoder decoder(payload);
+      OneSection<TlvDecoder> section{id, decoder};
+      if (decoder.ok()) network.VisitState(section);
+      return decoder.status();
     }
   }
-
-  if (node == net::kInvalidNode) return BadPayload("ship record missing node");
-  if (ship_class_raw >
-      static_cast<std::uint32_t>(node::ShipClass::kAgent)) {
-    return BadPayload("ship class out of range");
-  }
-  auto current = CheckRole(role_current);
-  if (!current.ok()) return current.status();
-  auto next = CheckRole(role_next);
-  if (!next.ok()) return next.status();
-  for (const wli::NetFunction& fn : functions) {
-    if (static_cast<std::size_t>(fn.role) >=
-        static_cast<std::size_t>(node::FirstLevelRole::kRoleCount)) {
-      return BadPayload("net function role out of range");
-    }
-  }
-
-  wli::Ship& ship =
-      network.AddShip(node, static_cast<node::ShipClass>(ship_class_raw));
-  ship.set_honest(honest);
-  if (!rng_payload.empty()) {
-    if (Status s = LoadRng(rng_payload, ship.rng()); !s.ok()) return s;
-  }
-  ship.RestoreCounters(consumed, forwarded, executions, misses);
-  ship.RestoreClassActivity(std::move(activity));
-  ship.os().RestoreRoleState(*current, *next, role_switches);
-  ship.os().resources().RestoreUsage(epoch_fuel, total_fuel, memory, pending);
-  ship.facts().RestoreState(facts, fact_window, fact_evictions,
-                            fact_expirations);
-  for (wli::NetFunction& fn : functions) {
-    ship.functions().Install(std::move(fn));
-  }
-  ship.congruence().RestoreState(std::move(congruence));
-
-  vm::CodeCache& cache = ship.os().code_cache();
-  for (auto it = cached_programs.rbegin(); it != cached_programs.rend();
-       ++it) {
-    if (Status s = cache.Put(*it); !s.ok()) return s;
-  }
-  cache.RestoreCounters(cache_hits, cache_misses);
-
-  std::sort(ees.begin(), ees.end(),
-            [](const EeSpec& a, const EeSpec& b) { return a.id < b.id; });
-  const std::uint32_t max_resident =
-      ship.os().resources().quota().max_resident_programs;
-  for (const EeSpec& spec : ees) {
-    node::ExecutionEnvironment& ee =
-        ship.os().GetOrCreateEe(spec.cls, spec.binding);
-    if (ee.id() != spec.id) {
-      return Internal("EE id mismatch on restore (snapshot id " +
-                      std::to_string(spec.id) + ", recreated id " +
-                      std::to_string(ee.id()) + ")");
-    }
-    ee.set_binding(spec.binding);
-    for (Digest digest : spec.residents) {
-      if (Status s = ee.AddResident(digest, max_resident); !s.ok()) return s;
-    }
-    ee.RestoreUsage(spec.invocations, spec.faults, spec.fuel);
-  }
-
-  for (const HwSpec& spec : hw_modules) {
-    auto latency = ship.os().hardware().Install(spec.module);
-    if (!latency.ok()) return latency.status();
-    if (spec.active) {
-      if (Status s = ship.os().hardware().ActivateDriver(
-              spec.module.module_id, spec.module.driver_digest);
-          !s.ok()) {
-        return s;
-      }
-    }
-  }
-  ship.os().hardware().RestoreReconfigurations(hw_reconfigs);
-  return OkStatus();
-}
-
-}  // namespace
-
-std::vector<std::byte> SaveShips(wli::WanderingNetwork& network) {
-  TlvWriter w;
-  network.ForEachShip(
-      [&w](wli::Ship& ship) { w.PutNested(kTagShip, SaveOneShip(ship)); });
-  return w.Finish();
-}
-
-Status LoadShips(std::span<const std::byte> payload,
-                 wli::WanderingNetwork& network) {
-  if (network.ship_count() != 0) {
-    return FailedPrecondition("ship restore requires a network with no ships");
-  }
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag != kTagShip) continue;
-    if (Status s = LoadOneShip(rec->payload, network); !s.ok()) return s;
-  }
-  return OkStatus();
-}
-
-// ---- Placements -----------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagPlacement = 0x01;
-constexpr TlvTag kTagPlacementFunction = 0x01;
-constexpr TlvTag kTagPlacementHost = 0x02;
-constexpr TlvTag kTagPlacementRole = 0x03;
-}  // namespace
-
-std::vector<std::byte> SavePlacements(const wli::WanderingNetwork& network) {
-  TlvWriter w;
-  for (const auto& [function, host] : network.placements()) {
-    TlvWriter inner;
-    inner.PutU64(kTagPlacementFunction, function);
-    inner.PutU64(kTagPlacementHost, host);
-    const auto role_it = network.placement_roles().find(function);
-    const node::FirstLevelRole role =
-        role_it != network.placement_roles().end()
-            ? role_it->second
-            : node::FirstLevelRole::kCaching;
-    inner.PutU32(kTagPlacementRole, static_cast<std::uint32_t>(role));
-    w.PutNested(kTagPlacement, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadPlacements(std::span<const std::byte> payload,
-                      wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag != kTagPlacement) continue;
-    TlvReader inner(rec->payload);
-    wli::FunctionId function = 0;
-    net::NodeId host = net::kInvalidNode;
-    std::uint32_t role_raw = 0;
-    while (inner.HasNext()) {
-      auto f = inner.Next();
-      if (!f.ok()) return f.status();
-      if (f->tag == kTagPlacementFunction) function = f->AsU64();
-      if (f->tag == kTagPlacementHost) {
-        host = static_cast<net::NodeId>(f->AsU64());
-      }
-      if (f->tag == kTagPlacementRole) role_raw = f->AsU32();
-    }
-    auto role = CheckRole(role_raw);
-    if (!role.ok()) return role.status();
-    network.RestorePlacement(function, host, *role);
-  }
-  return OkStatus();
-}
-
-// ---- Ledger ---------------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagLedgerFunction = 0x01;
-constexpr TlvTag kTagLedgerFunctionId = 0x01;
-constexpr TlvTag kTagLedgerEpisode = 0x02;
-constexpr TlvTag kTagEpisodeHost = 0x01;
-constexpr TlvTag kTagEpisodeFrom = 0x02;
-constexpr TlvTag kTagEpisodeTo = 0x03;
-constexpr TlvTag kTagEpisodeUses = 0x04;
-}  // namespace
-
-std::vector<std::byte> SaveLedger(const wli::WanderingNetwork& network) {
-  TlvWriter w;
-  for (const auto& [function, episodes] : network.ledger().history()) {
-    TlvWriter inner;
-    inner.PutU64(kTagLedgerFunctionId, function);
-    for (const auto& episode : episodes) {
-      TlvWriter ew;
-      ew.PutU64(kTagEpisodeHost, episode.host);
-      ew.PutU64(kTagEpisodeFrom, episode.from);
-      ew.PutU64(kTagEpisodeTo, episode.to);
-      ew.PutU64(kTagEpisodeUses, episode.uses);
-      inner.PutNested(kTagLedgerEpisode, ew.Finish());
-    }
-    w.PutNested(kTagLedgerFunction, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadLedger(std::span<const std::byte> payload,
-                  wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::map<wli::FunctionId, std::vector<wli::FunctionUsageLedger::Episode>>
-      history;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag != kTagLedgerFunction) continue;
-    TlvReader inner(rec->payload);
-    wli::FunctionId function = 0;
-    std::vector<wli::FunctionUsageLedger::Episode> episodes;
-    while (inner.HasNext()) {
-      auto f = inner.Next();
-      if (!f.ok()) return f.status();
-      if (f->tag == kTagLedgerFunctionId) function = f->AsU64();
-      if (f->tag == kTagLedgerEpisode) {
-        TlvReader er(f->payload);
-        wli::FunctionUsageLedger::Episode episode;
-        while (er.HasNext()) {
-          auto ef = er.Next();
-          if (!ef.ok()) return ef.status();
-          switch (ef->tag) {
-            case kTagEpisodeHost:
-              episode.host = static_cast<net::NodeId>(ef->AsU64());
-              break;
-            case kTagEpisodeFrom: episode.from = ef->AsU64(); break;
-            case kTagEpisodeTo: episode.to = ef->AsU64(); break;
-            case kTagEpisodeUses: episode.uses = ef->AsU64(); break;
-            default: break;
-          }
-        }
-        episodes.push_back(episode);
-      }
-    }
-    history[function] = std::move(episodes);
-  }
-  network.ledger().RestoreState(std::move(history));
-  return OkStatus();
-}
-
-// ---- Reputation -----------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagReports = 0x01;
-constexpr TlvTag kTagRepEntry = 0x02;
-constexpr TlvTag kTagRepNode = 0x01;
-constexpr TlvTag kTagRepScore = 0x02;
-constexpr TlvTag kTagRepExcluded = 0x03;
-}  // namespace
-
-std::vector<std::byte> SaveReputation(const wli::WanderingNetwork& network) {
-  const wli::ReputationSystem& reputation =
-      const_cast<wli::WanderingNetwork&>(network).reputation();
-  TlvWriter w;
-  w.PutU64(kTagReports, reputation.reports());
-  for (const auto& [node, entry] : reputation.entries()) {
-    TlvWriter inner;
-    inner.PutU64(kTagRepNode, node);
-    inner.PutDouble(kTagRepScore, entry.score);
-    inner.PutU32(kTagRepExcluded, entry.excluded ? 1 : 0);
-    w.PutNested(kTagRepEntry, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadReputation(std::span<const std::byte> payload,
-                      wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::uint64_t reports = 0;
-  std::map<net::NodeId, wli::ReputationSystem::Entry> entries;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag == kTagReports) reports = rec->AsU64();
-    if (rec->tag == kTagRepEntry) {
-      TlvReader inner(rec->payload);
-      net::NodeId node = net::kInvalidNode;
-      wli::ReputationSystem::Entry entry{0.0, false};
-      while (inner.HasNext()) {
-        auto f = inner.Next();
-        if (!f.ok()) return f.status();
-        if (f->tag == kTagRepNode) node = static_cast<net::NodeId>(f->AsU64());
-        if (f->tag == kTagRepScore) entry.score = f->AsDouble();
-        if (f->tag == kTagRepExcluded) entry.excluded = f->AsU32() != 0;
-      }
-      entries[node] = entry;
-    }
-  }
-  network.reputation().RestoreState(std::move(entries), reports);
-  return OkStatus();
-}
-
-// ---- Clusters -------------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagAffinity = 0x01;
-constexpr TlvTag kTagAffinityA = 0x01;
-constexpr TlvTag kTagAffinityB = 0x02;
-constexpr TlvTag kTagAffinityValue = 0x03;
-}  // namespace
-
-std::vector<std::byte> SaveClusters(const wli::WanderingNetwork& network) {
-  const wli::ClusterManager& clusters =
-      const_cast<wli::WanderingNetwork&>(network).clusters();
-  TlvWriter w;
-  for (const auto& [pair, affinity] : clusters.affinities()) {
-    TlvWriter inner;
-    inner.PutU64(kTagAffinityA, pair.first);
-    inner.PutU64(kTagAffinityB, pair.second);
-    inner.PutDouble(kTagAffinityValue, affinity);
-    w.PutNested(kTagAffinity, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadClusters(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::map<wli::ClusterManager::Pair, double> affinities;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag != kTagAffinity) continue;
-    TlvReader inner(rec->payload);
-    net::NodeId a = net::kInvalidNode, b = net::kInvalidNode;
-    double value = 0.0;
-    while (inner.HasNext()) {
-      auto f = inner.Next();
-      if (!f.ok()) return f.status();
-      if (f->tag == kTagAffinityA) a = static_cast<net::NodeId>(f->AsU64());
-      if (f->tag == kTagAffinityB) b = static_cast<net::NodeId>(f->AsU64());
-      if (f->tag == kTagAffinityValue) value = f->AsDouble();
-    }
-    affinities[{a, b}] = value;
-  }
-  network.clusters().RestoreState(std::move(affinities));
-  return OkStatus();
-}
-
-// ---- Demand ---------------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagDemandEntry = 0x01;
-constexpr TlvTag kTagDemandNode = 0x01;
-constexpr TlvTag kTagDemandRole = 0x02;
-constexpr TlvTag kTagDemandValue = 0x03;
-}  // namespace
-
-std::vector<std::byte> SaveDemand(const wli::WanderingNetwork& network) {
-  const wli::DemandTracker& demand =
-      const_cast<wli::WanderingNetwork&>(network).demand();
-  TlvWriter w;
-  for (const auto& [key, value] : demand.demand()) {
-    TlvWriter inner;
-    inner.PutU64(kTagDemandNode, key.first);
-    inner.PutU32(kTagDemandRole, static_cast<std::uint32_t>(key.second));
-    inner.PutDouble(kTagDemandValue, value);
-    w.PutNested(kTagDemandEntry, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadDemand(std::span<const std::byte> payload,
-                  wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::map<wli::DemandTracker::Key, double> demand;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag != kTagDemandEntry) continue;
-    TlvReader inner(rec->payload);
-    net::NodeId node = net::kInvalidNode;
-    std::uint32_t role_raw = 0;
-    double value = 0.0;
-    while (inner.HasNext()) {
-      auto f = inner.Next();
-      if (!f.ok()) return f.status();
-      if (f->tag == kTagDemandNode) node = static_cast<net::NodeId>(f->AsU64());
-      if (f->tag == kTagDemandRole) role_raw = f->AsU32();
-      if (f->tag == kTagDemandValue) value = f->AsDouble();
-    }
-    auto role = CheckRole(role_raw);
-    if (!role.ok()) return role.status();
-    demand[{node, *role}] = value;
-  }
-  network.demand().RestoreState(std::move(demand));
-  return OkStatus();
-}
-
-// ---- Overlays -------------------------------------------------------------
-
-namespace {
-constexpr TlvTag kTagOverlayNextId = 0x01;
-constexpr TlvTag kTagOverlaySpawned = 0x02;
-constexpr TlvTag kTagOverlay = 0x03;
-constexpr TlvTag kTagClassOverlay = 0x04;
-constexpr TlvTag kTagOverlayId = 0x01;
-constexpr TlvTag kTagOverlayName = 0x02;
-constexpr TlvTag kTagOverlayMember = 0x03;
-constexpr TlvTag kTagOverlayQos = 0x04;
-constexpr TlvTag kTagOverlayLink = 0x05;
-constexpr TlvTag kTagVLinkA = 0x01;
-constexpr TlvTag kTagVLinkB = 0x02;
-constexpr TlvTag kTagVLinkLatency = 0x03;
-constexpr TlvTag kTagVLinkPathNode = 0x04;
-constexpr TlvTag kTagClassOverlayClass = 0x01;
-constexpr TlvTag kTagClassOverlayId = 0x02;
-}  // namespace
-
-std::vector<std::byte> SaveOverlays(const wli::WanderingNetwork& network) {
-  const wli::OverlayManager& overlays =
-      const_cast<wli::WanderingNetwork&>(network).overlays();
-  TlvWriter w;
-  w.PutU32(kTagOverlayNextId, overlays.next_id());
-  w.PutU64(kTagOverlaySpawned, overlays.spawned_total());
-  for (const auto& [id, overlay] : overlays.overlays()) {
-    TlvWriter inner;
-    inner.PutU32(kTagOverlayId, id);
-    inner.PutString(kTagOverlayName, overlay.name);
-    for (net::NodeId member : overlay.members) {
-      inner.PutU64(kTagOverlayMember, member);
-    }
-    inner.PutU64(kTagOverlayQos, overlay.qos_latency_bound);
-    for (const wli::VirtualLink& link : overlay.links) {
-      TlvWriter lw;
-      lw.PutU64(kTagVLinkA, link.a);
-      lw.PutU64(kTagVLinkB, link.b);
-      lw.PutU64(kTagVLinkLatency, link.path_latency);
-      for (net::NodeId hop : link.physical_path) {
-        lw.PutU64(kTagVLinkPathNode, hop);
-      }
-      inner.PutNested(kTagOverlayLink, lw.Finish());
-    }
-    w.PutNested(kTagOverlay, inner.Finish());
-  }
-  for (const auto& [cls, overlay] : network.class_overlays()) {
-    TlvWriter inner;
-    inner.PutU32(kTagClassOverlayClass, static_cast<std::uint32_t>(cls));
-    inner.PutU32(kTagClassOverlayId, overlay);
-    w.PutNested(kTagClassOverlay, inner.Finish());
-  }
-  return w.Finish();
-}
-
-Status LoadOverlays(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  wli::OverlayId next_id = 1;
-  std::uint64_t spawned = 0;
-  std::map<wli::OverlayId, wli::Overlay> overlays;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagOverlayNextId: next_id = rec->AsU32(); break;
-      case kTagOverlaySpawned: spawned = rec->AsU64(); break;
-      case kTagOverlay: {
-        TlvReader inner(rec->payload);
-        wli::Overlay overlay;
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          switch (f->tag) {
-            case kTagOverlayId: overlay.id = f->AsU32(); break;
-            case kTagOverlayName: overlay.name = f->AsString(); break;
-            case kTagOverlayMember:
-              overlay.members.push_back(
-                  static_cast<net::NodeId>(f->AsU64()));
-              break;
-            case kTagOverlayQos:
-              overlay.qos_latency_bound = f->AsU64();
-              break;
-            case kTagOverlayLink: {
-              TlvReader lr(f->payload);
-              wli::VirtualLink link;
-              while (lr.HasNext()) {
-                auto lf = lr.Next();
-                if (!lf.ok()) return lf.status();
-                switch (lf->tag) {
-                  case kTagVLinkA:
-                    link.a = static_cast<net::NodeId>(lf->AsU64());
-                    break;
-                  case kTagVLinkB:
-                    link.b = static_cast<net::NodeId>(lf->AsU64());
-                    break;
-                  case kTagVLinkLatency:
-                    link.path_latency = lf->AsU64();
-                    break;
-                  case kTagVLinkPathNode:
-                    link.physical_path.push_back(
-                        static_cast<net::NodeId>(lf->AsU64()));
-                    break;
-                  default: break;
-                }
-              }
-              overlay.links.push_back(std::move(link));
-              break;
-            }
-            default: break;
-          }
-        }
-        overlays[overlay.id] = std::move(overlay);
-        break;
-      }
-      case kTagClassOverlay: {
-        TlvReader inner(rec->payload);
-        std::uint32_t cls_raw = 0;
-        wli::OverlayId overlay = 0;
-        while (inner.HasNext()) {
-          auto f = inner.Next();
-          if (!f.ok()) return f.status();
-          if (f->tag == kTagClassOverlayClass) cls_raw = f->AsU32();
-          if (f->tag == kTagClassOverlayId) overlay = f->AsU32();
-        }
-        auto cls = CheckClass(cls_raw);
-        if (!cls.ok()) return cls.status();
-        network.RestoreClassOverlay(*cls, overlay);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  network.overlays().RestoreState(std::move(overlays), next_id, spawned);
-  return OkStatus();
-}
-
-// ---- Morphing / feedback / network counters -------------------------------
-
-namespace {
-constexpr TlvTag kTagMorphAttempted = 0x01;
-constexpr TlvTag kTagMorphFailed = 0x02;
-constexpr TlvTag kTagFbPublished = 0x01;
-constexpr TlvTag kTagFbDelivered = 0x02;
-constexpr TlvTag kTagFbSuppressed = 0x03;
-constexpr TlvTag kTagWnMigrations = 0x01;
-constexpr TlvTag kTagWnEmerged = 0x02;
-constexpr TlvTag kTagWnPulses = 0x03;
-constexpr TlvTag kTagWnNextFunction = 0x04;
-}  // namespace
-
-std::vector<std::byte> SaveMorphing(const wli::WanderingNetwork& network) {
-  const wli::MorphingEngine& morphing =
-      const_cast<wli::WanderingNetwork&>(network).morphing();
-  TlvWriter w;
-  w.PutU64(kTagMorphAttempted, morphing.morphs_attempted());
-  w.PutU64(kTagMorphFailed, morphing.morphs_failed());
-  return w.Finish();
-}
-
-Status LoadMorphing(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::uint64_t attempted = 0, failed = 0;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag == kTagMorphAttempted) attempted = rec->AsU64();
-    if (rec->tag == kTagMorphFailed) failed = rec->AsU64();
-  }
-  network.morphing().RestoreCounters(attempted, failed);
-  return OkStatus();
-}
-
-std::vector<std::byte> SaveFeedback(const wli::WanderingNetwork& network) {
-  const wli::FeedbackBus& feedback =
-      const_cast<wli::WanderingNetwork&>(network).feedback();
-  TlvWriter w;
-  w.PutU64(kTagFbPublished, feedback.published());
-  w.PutU64(kTagFbDelivered, feedback.delivered());
-  w.PutU64(kTagFbSuppressed, feedback.suppressed());
-  return w.Finish();
-}
-
-Status LoadFeedback(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::uint64_t published = 0, delivered = 0, suppressed = 0;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    if (rec->tag == kTagFbPublished) published = rec->AsU64();
-    if (rec->tag == kTagFbDelivered) delivered = rec->AsU64();
-    if (rec->tag == kTagFbSuppressed) suppressed = rec->AsU64();
-  }
-  network.feedback().RestoreCounters(published, delivered, suppressed);
-  return OkStatus();
-}
-
-std::vector<std::byte> SaveNetworkCounters(
-    const wli::WanderingNetwork& network) {
-  TlvWriter w;
-  w.PutU64(kTagWnMigrations, network.migrations_executed());
-  w.PutU64(kTagWnEmerged, network.functions_emerged());
-  w.PutU64(kTagWnPulses, network.pulses());
-  w.PutU64(kTagWnNextFunction, network.next_function_id());
-  return w.Finish();
-}
-
-Status LoadNetworkCounters(std::span<const std::byte> payload,
-                           wli::WanderingNetwork& network) {
-  TlvReader r({});
-  if (Status s = OpenReader(payload, r); !s.ok()) return s;
-  std::uint64_t migrations = 0, emerged = 0, pulses = 0;
-  wli::FunctionId next_function = 1;
-  while (r.HasNext()) {
-    auto rec = r.Next();
-    if (!rec.ok()) return rec.status();
-    switch (rec->tag) {
-      case kTagWnMigrations: migrations = rec->AsU64(); break;
-      case kTagWnEmerged: emerged = rec->AsU64(); break;
-      case kTagWnPulses: pulses = rec->AsU64(); break;
-      case kTagWnNextFunction: next_function = rec->AsU64(); break;
-      default: break;
-    }
-  }
-  network.RestoreCounters(migrations, emerged, pulses, next_function);
-  return OkStatus();
 }
 
 // ---- Memory watermarks ------------------------------------------------------

@@ -1,37 +1,60 @@
-// Per-subsystem section codecs: one Save/Load pair per snapshot section.
+// Snapshot section codecs, in one table: SaveSection/LoadSection per id.
 //
-// Save* functions produce a finished TLV stream (the section payload);
-// Load* functions validate and apply it. Loads are strict: malformed
-// payloads yield Status errors without crashing, though a failed load may
-// leave a partially-restored subsystem behind — GenesisManager::RestoreFull
-// therefore validates the whole container before applying any section.
+// The decision-state sections are the field lists of
+// WanderingNetwork::VisitState (base/archive.h): TlvEncoder writes them and
+// the strict TlvDecoder reads them back, so a snapshot and the state hash
+// walk the same fields. The simulator and telemetry sections (clock, stats,
+// trace, memory peaks, latency) keep the hand-written codecs below.
 //
-// Runtime closures (role handlers, delivery sinks, feedback subscriptions,
-// next-hop choosers) are deliberately not serialized: they belong to the
-// services layer, which re-installs them against the restored network.
+// Loads are strict: malformed payloads yield Status errors without
+// crashing, though a failed load may leave a partially-restored subsystem
+// behind — GenesisManager::RestoreFull therefore validates the whole
+// container before applying any section.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
-#include "base/rng.h"
 #include "base/status.h"
 #include "core/wandering_network.h"
-#include "net/topology.h"
+#include "genesis/section_ids.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
 
 namespace viator::genesis {
 
-// ---- Substrate sections ---------------------------------------------------
+/// Every built-in section, in capture order, which is also restore order:
+/// substrate (topology, clock) first, then code, then ships (AddShip forks
+/// the network RNG and installs fabric handlers), then engine state, and
+/// only then the RNG streams the earlier steps perturbed. The memory peaks
+/// come after every pending event has been rescheduled, so the monotone
+/// queue-peak restore sits on top of the rebuild.
+inline constexpr std::uint32_t kSectionOrder[] = {
+    kSectionTopology,  kSectionClock,      kSectionRepository,
+    kSectionShips,     kSectionPlacements, kSectionLedger,
+    kSectionReputation, kSectionClusters,  kSectionDemand,
+    kSectionOverlays,  kSectionMorphing,   kSectionFeedback,
+    kSectionNetworkCounters, kSectionNetworkRng, kSectionFabric,
+    kSectionStats,     kSectionTrace,      kSectionMemPeaks,
+    kSectionLatency,
+};
+
+/// The payload of built-in section `id` (a finished TLV stream).
+std::vector<std::byte> SaveSection(std::uint32_t id,
+                                   wli::WanderingNetwork& network);
+
+/// Validates and applies the payload of built-in section `id`. Topology and
+/// ships require a network that has none yet.
+Status LoadSection(std::uint32_t id, std::span<const std::byte> payload,
+                   wli::WanderingNetwork& network);
+
+// ---- Simulator and telemetry sections -------------------------------------
 
 std::vector<std::byte> SaveClock(const sim::Simulator& simulator);
 Status LoadClock(std::span<const std::byte> payload, sim::Simulator& simulator);
-
-std::vector<std::byte> SaveRng(const Rng& rng);
-Status LoadRng(std::span<const std::byte> payload, Rng& rng);
 
 std::vector<std::byte> SaveStats(const sim::StatsRegistry& stats);
 Status LoadStats(std::span<const std::byte> payload, sim::StatsRegistry& stats);
@@ -39,72 +62,9 @@ Status LoadStats(std::span<const std::byte> payload, sim::StatsRegistry& stats);
 std::vector<std::byte> SaveTrace(const sim::TraceSink& trace);
 Status LoadTrace(std::span<const std::byte> payload, sim::TraceSink& trace);
 
-/// Serializes nodes, links (config + up flags) and node up flags.
-std::vector<std::byte> SaveTopology(const net::Topology& topology);
-/// Rebuilds into an *empty* topology (kFailedPrecondition otherwise).
-Status LoadTopology(std::span<const std::byte> payload,
-                    net::Topology& topology);
-
-// ---- Network sections (operate on the WanderingNetwork) -------------------
-// Saves take a non-const network because several state accessors (RNG
-// streams, congruence trackers) expose mutable references only.
-
-std::vector<std::byte> SaveFabric(wli::WanderingNetwork& network);
-Status LoadFabric(std::span<const std::byte> payload,
-                  wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveRepository(const wli::WanderingNetwork& network);
-Status LoadRepository(std::span<const std::byte> payload,
-                      wli::WanderingNetwork& network);
-
-/// One nested record per ship: identity, RNG, role state, resources, facts,
-/// functions, congruence, code cache (with inline program images), EEs and
-/// the hardware plane. Load recreates the ships via AddShip and overwrites
-/// every piece of state; requires a network with no ships yet.
-std::vector<std::byte> SaveShips(wli::WanderingNetwork& network);
-Status LoadShips(std::span<const std::byte> payload,
-                 wli::WanderingNetwork& network);
-
-std::vector<std::byte> SavePlacements(const wli::WanderingNetwork& network);
-Status LoadPlacements(std::span<const std::byte> payload,
-                      wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveLedger(const wli::WanderingNetwork& network);
-Status LoadLedger(std::span<const std::byte> payload,
-                  wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveReputation(const wli::WanderingNetwork& network);
-Status LoadReputation(std::span<const std::byte> payload,
-                      wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveClusters(const wli::WanderingNetwork& network);
-Status LoadClusters(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveDemand(const wli::WanderingNetwork& network);
-Status LoadDemand(std::span<const std::byte> payload,
-                  wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveOverlays(const wli::WanderingNetwork& network);
-Status LoadOverlays(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveMorphing(const wli::WanderingNetwork& network);
-Status LoadMorphing(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveFeedback(const wli::WanderingNetwork& network);
-Status LoadFeedback(std::span<const std::byte> payload,
-                    wli::WanderingNetwork& network);
-
-std::vector<std::byte> SaveNetworkCounters(
-    const wli::WanderingNetwork& network);
-Status LoadNetworkCounters(std::span<const std::byte> payload,
-                           wli::WanderingNetwork& network);
-
 /// Memory watermarks (calendar-queue heap peak, shuttle-pool retained
 /// peak). Advisory telemetry, kept out of the decision-state sections: see
-/// the kSectionMemPeaks note in snapshot.h.
+/// the kSectionMemPeaks note in section_ids.h.
 std::vector<std::byte> SaveMemPeaks(const wli::WanderingNetwork& network);
 Status LoadMemPeaks(std::span<const std::byte> payload,
                     wli::WanderingNetwork& network);
@@ -112,7 +72,8 @@ Status LoadMemPeaks(std::span<const std::byte> payload,
 /// Latency Observatory sketches (every per-(stage, class) quantile sketch
 /// plus the window delivery sketch, sparse buckets + exact integer totals).
 /// Advisory telemetry like the peaks, but integer-exact: the section
-/// round-trips bit-identically. See the kSectionLatency note in snapshot.h.
+/// round-trips bit-identically. See the kSectionLatency note in
+/// section_ids.h.
 std::vector<std::byte> SaveLatency(const wli::WanderingNetwork& network);
 Status LoadLatency(std::span<const std::byte> payload,
                    wli::WanderingNetwork& network);

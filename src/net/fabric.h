@@ -12,7 +12,6 @@
 #include <functional>
 #include <vector>
 
-#include "base/hash.h"
 #include "base/rng.h"
 #include "base/status.h"
 #include "net/topology.h"
@@ -75,22 +74,25 @@ class Fabric {
   /// decision ever reads it.
   void BindLatencyLane(telemetry::lat::Lane* lane) { lat_lane_ = lane; }
 
-  /// Mixes the loss-RNG state and transmission accounting into a rolling
-  /// state digest (flight-recorder hook). Deliberately excludes per-direction
-  /// queue state, which is transient in-flight detail.
-  void MixDigest(Hasher& hasher) const {
-    for (std::uint64_t word : rng_.SaveState()) hasher.Mix(word);
-    hasher.Mix(static_cast<std::uint64_t>(link_bytes_.size()));
-    for (std::uint64_t bytes : link_bytes_) hasher.Mix(bytes);
-    hasher.Mix(frames_delivered_);
-    hasher.Mix(frames_dropped_);
-    hasher.Mix(bytes_sent_);
-    hasher.Mix(next_frame_id_);
+  /// Snapshot fields (base/archive.h): transmission accounting, the loss
+  /// RNG and per-link byte counts. Per-direction queue state is transient
+  /// in-flight detail, rebuilt lazily and empty after a load.
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, frames_delivered_);
+    a.U64(0x02, frames_dropped_);
+    a.U64(0x03, bytes_sent_);
+    a.U64(0x04, next_frame_id_);
+    if (!a.Nested(0x05, [this](auto& r) { rng_.Visit(r); })) {
+      a.Fail("fabric section missing RNG state");
+    }
+    a.U64s(0x06, link_bytes_);
+    if constexpr (A::kLoading) ChargeLinkState();
   }
 
-  /// Restores transmission accounting from a snapshot. Only meaningful on a
-  /// quiescent fabric (no frames in flight); per-direction queue state is
-  /// rebuilt lazily and starts empty.
+  /// Replaces the transmission accounting wholesale (snapshots load through
+  /// Visit). Only meaningful on a quiescent fabric (no frames in flight);
+  /// per-direction queue state is rebuilt lazily and starts empty.
   void RestoreState(std::vector<std::uint64_t> link_bytes,
                     std::uint64_t frames_delivered, std::uint64_t frames_dropped,
                     std::uint64_t bytes_sent, std::uint64_t next_frame) {

@@ -327,17 +327,29 @@ Topology Topology::InducedSubgraph(const std::vector<NodeId>& members) const {
   return sub;
 }
 
-void Topology::MixDigest(Hasher& hasher) const {
-  hasher.Mix(static_cast<std::uint64_t>(node_count_));
-  hasher.Mix(static_cast<std::uint64_t>(links_.size()));
-  for (const Link& link : links_) {
-    hasher.Mix(link.a);
-    hasher.Mix(link.b);
-    hasher.Mix(link.up ? 1u : 0u);
+const char* Topology::Reindex() {
+  const char* error = node_up_.size() != node_count_
+                          ? "topology node flag count mismatch"
+                          : nullptr;
+  for (const Link& l : links_) {
+    if (error == nullptr &&
+        (l.a >= node_count_ || l.b >= node_count_ || l.a == l.b)) {
+      error = "topology link endpoint out of range";
+    }
   }
-  for (std::size_t n = 0; n < node_count_; ++n) {
-    hasher.Mix(node_up_[n] ? 1u : 0u);
+  if (error != nullptr) {
+    node_count_ = 0;
+    node_up_.clear();
+    links_.clear();
+    return error;
   }
+  incident_.assign(node_count_, {});
+  for (LinkId id = 0; id < links_.size(); ++id) {
+    incident_[links_[id].a].push_back(id);
+    incident_[links_[id].b].push_back(id);
+  }
+  ++generation_;
+  return nullptr;
 }
 
 // ---- Generators -----------------------------------------------------------

@@ -13,8 +13,8 @@
 // `s` toward `to` (LRU-bounded), so NextHop(from, to) is
 // row(to).first_hop[from]. All rows are invalidated wholesale by bumping
 // `generation_` on every structural mutation (link/node up/down, added
-// links/nodes, mobility rewires). The cache never feeds MixDigest (it is
-// derived state).
+// links/nodes, mobility rewires). The cache is derived state: Visit never
+// lists it, so snapshots and state hashes do not see it.
 //
 // A row is decision-identical to the per-pair BFS it replaces, by this
 // lemma: ShortestPath(from, to)[1] is the first neighbour n of `from`, in
@@ -49,8 +49,8 @@
 #include <string_view>
 #include <vector>
 
-#include "base/hash.h"
 #include "base/rng.h"
+#include "base/status.h"
 #include "net/types.h"
 #include "sim/time.h"
 #include "telemetry/mem_counters.h"
@@ -175,9 +175,33 @@ class Topology {
   /// up/down states are preserved. Duplicate members are invalid.
   Topology InducedSubgraph(const std::vector<NodeId>& members) const;
 
-  /// Mixes the structural state (node/link counts, endpoints, up flags) into
-  /// a rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
+  /// Snapshot fields (base/archive.h): the node count, one up flag per node
+  /// and one record per link. Loading requires an empty topology and
+  /// rebuilds the incidence lists; the route cache starts cold.
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (A::kLoading) {
+      if (node_count_ != 0 || !links_.empty()) {
+        a.Fail(FailedPrecondition(
+            "topology restore requires an empty topology"));
+        return;
+      }
+    }
+    a.U64(0x01, node_count_);
+    a.U32s(0x02, node_up_);
+    a.Each(0x03, links_, [](auto& r, auto& link) {
+      r.U64(0x01, link.a);
+      r.U64(0x02, link.b);
+      r.F64(0x03, link.config.bandwidth_bps);
+      r.U64(0x04, link.config.latency);
+      r.F64(0x05, link.config.loss_probability);
+      r.U32(0x06, link.config.queue_capacity_bytes);
+      r.U32(0x07, link.up);
+    });
+    if constexpr (A::kLoading) {
+      if (const char* error = Reindex()) a.Fail(error);
+    }
+  }
 
  private:
   // One cached destination row: first_hop[from] is the next hop from `from`
@@ -189,6 +213,11 @@ class Topology {
     std::uint64_t last_used = 0;
     std::vector<NodeId> first_hop;
   };
+
+  // After a load: checks the node flags and link endpoints, rebuilds
+  // incident_ and bumps the generation. On a bad payload it empties the
+  // topology again and returns what was wrong.
+  const char* Reindex();
 
   CacheRow& RouteRowFor(NodeId to) const;
   void FillRow(CacheRow& row, NodeId to) const;

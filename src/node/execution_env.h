@@ -49,12 +49,21 @@ class ExecutionEnvironment {
   std::uint64_t faults() const { return faults_; }
   std::uint64_t fuel_consumed() const { return fuel_consumed_; }
 
-  /// Restores usage accounting from a snapshot (genesis).
-  void RestoreUsage(std::uint64_t invocations, std::uint64_t faults,
-                    std::uint64_t fuel_consumed) {
-    invocations_ = invocations;
-    faults_ = faults;
-    fuel_consumed_ = fuel_consumed;
+  /// Snapshot fields (base/archive.h): identity, resident digests and
+  /// usage accounting.
+  template <class A>
+  void Visit(A& a) {
+    a.U32(0x01, id_);
+    a.Enum(0x02, cls_,
+           static_cast<std::uint32_t>(SecondLevelClass::kClassCount),
+           "second-level class out of range");
+    a.Enum(0x03, binding_,
+           static_cast<std::uint32_t>(RoleBinding::kAuxiliary) + 1,
+           "EE binding out of range");
+    a.U64s(0x04, residents_);
+    a.U64(0x05, invocations_);
+    a.U64(0x06, faults_);
+    a.U64(0x07, fuel_consumed_);
   }
 
  private:

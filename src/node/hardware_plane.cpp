@@ -25,6 +25,24 @@ Result<sim::Duration> HardwarePlane::Install(const HardwareModule& module) {
   return InstallLatency(module.gate_count);
 }
 
+Status HardwarePlane::Recount() {
+  std::uint64_t gates = 0;
+  for (std::size_t i = 0; i < occupied_.size(); ++i) {
+    for (std::size_t j = 0; j < i; ++j) {
+      if (occupied_[j].module.module_id == occupied_[i].module.module_id) {
+        return AlreadyExists("module id already installed");
+      }
+    }
+    gates += occupied_[i].module.gate_count;
+  }
+  if (occupied_.size() > slots_) {
+    return ResourceExhausted("no free hardware slot");
+  }
+  if (gates > total_gates_) return ResourceExhausted("gate budget exhausted");
+  gates_used_ = static_cast<std::uint32_t>(gates);
+  return OkStatus();
+}
+
 Result<sim::Duration> HardwarePlane::Remove(std::uint32_t module_id) {
   const auto it = std::find_if(
       occupied_.begin(), occupied_.end(),

@@ -91,26 +91,33 @@ class HardwarePlane {
 
   std::uint64_t reconfigurations() const { return reconfigurations_; }
 
-  /// Restores the reconfiguration counter after replaying Install/Activate
-  /// calls from a snapshot (genesis).
-  void RestoreReconfigurations(std::uint64_t count) {
-    reconfigurations_ = count;
-  }
-
-  /// Mixes gate usage, slot occupancy and activation flags into a rolling
-  /// state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(gates_used_);
-    hasher.Mix(reconfigurations_);
-    hasher.Mix(static_cast<std::uint64_t>(occupied_.size()));
-    for (const Slot& slot : occupied_) {
-      hasher.Mix(slot.module.module_id);
-      hasher.Mix(slot.module.driver_digest);
-      hasher.Mix(slot.driver_active ? 1u : 0u);
+  /// Snapshot fields (base/archive.h), under the ship record's tags: one
+  /// record per installed module, then the reconfiguration counter. Loading
+  /// recounts the gates and refuses what Install() would have refused.
+  template <class A>
+  void Visit(A& a) {
+    a.Each(0x1B, occupied_, [](auto& r, auto& slot) {
+      HardwareModule& module = slot.module;
+      r.U32(0x01, module.module_id);
+      r.Str(0x02, module.name);
+      r.Enum(0x03, module.accelerates,
+             static_cast<std::uint32_t>(SecondLevelClass::kClassCount),
+             "second-level class out of range");
+      r.U32(0x04, module.gate_count);
+      r.F64(0x05, module.speedup);
+      r.U64(0x06, module.driver_digest);
+      r.U32(0x07, slot.driver_active);
+    });
+    a.U64(0x1C, reconfigurations_);
+    if constexpr (A::kLoading) {
+      if (Status status = Recount(); !status.ok()) a.Fail(status);
     }
   }
 
  private:
+  // Recomputes gates_used_ after a load; fails on a duplicate module id or
+  // more modules or gates than the plane has.
+  Status Recount();
   sim::Duration InstallLatency(std::uint32_t gates) const;
 
   std::uint32_t total_gates_;

@@ -11,6 +11,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "base/hash.h"
 #include "base/status.h"
@@ -71,21 +72,6 @@ class NodeOs {
   ExecutionEnvironment* FindEe(SecondLevelClass cls);
   std::size_t ee_count() const { return ees_.size(); }
 
-  /// Full EE registry, keyed by class (snapshot enumeration; genesis).
-  const std::map<SecondLevelClass, std::unique_ptr<ExecutionEnvironment>>&
-  ees() const {
-    return ees_;
-  }
-
-  /// Restores role state and the switch counter from a snapshot, without the
-  /// generation gating or latency of a real switch.
-  void RestoreRoleState(FirstLevelRole current, FirstLevelRole next,
-                        std::uint64_t switches) {
-    current_role_ = current;
-    next_step_ = next;
-    role_switches_ = switches;
-  }
-
   // ---- Code admission ----
 
   /// Optional security policy consulted before any code is admitted
@@ -110,18 +96,52 @@ class NodeOs {
   /// activates the module (one transaction, per the paper's "docking time").
   Result<sim::Duration> DockNetbot(const Netbot& netbot);
 
-  /// Mixes role state, EE registry shape, code-cache residency and hardware
-  /// plane occupancy into a rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(static_cast<std::uint64_t>(current_role_));
-    hasher.Mix(static_cast<std::uint64_t>(next_step_));
-    hasher.Mix(role_switches_);
-    hasher.Mix(static_cast<std::uint64_t>(ees_.size()));
-    for (const auto& [cls, ee] : ees_) {
-      hasher.Mix(static_cast<std::uint64_t>(cls));
+  // ---- Snapshot fields (base/archive.h), under the ship record's tags ----
+  // The ship record lists the ship's own facts, functions and congruence
+  // between these two parts.
+
+  /// Role state (without the gating or latency of a real switch) and
+  /// resource accounting.
+  template <class A>
+  void VisitRole(A& a) {
+    constexpr auto kRoles =
+        static_cast<std::uint32_t>(FirstLevelRole::kRoleCount);
+    a.Enum(0x0A, current_role_, kRoles, "first-level role out of range");
+    a.Enum(0x0B, next_step_, kRoles, "first-level role out of range");
+    a.U64(0x0C, role_switches_);
+    accountant_.Visit(a);
+  }
+
+  /// Code cache, one record per EE in id order, hardware plane. Loading
+  /// re-creates the EEs in id order, as GetOrCreateEe() numbered them.
+  template <class A>
+  void VisitCode(A& a) {
+    code_cache_.Visit(a);
+    if constexpr (A::kLoading) {
+      a.ForRecords(0x1A, [this](auto& r) {
+        auto ee = std::make_unique<ExecutionEnvironment>(
+            0, SecondLevelClass::kSupplementary, RoleBinding::kAuxiliary);
+        ee->Visit(r);
+        if (!r.ok()) return;
+        if (ee->id() != next_ee_id_ || ees_.count(ee->function_class()) != 0) {
+          return r.Fail(Internal("EE id mismatch on restore (snapshot id " +
+                                 std::to_string(ee->id()) + ", expected " +
+                                 std::to_string(next_ee_id_) + ")"));
+        }
+        const std::size_t max_resident =
+            accountant_.quota().max_resident_programs;
+        if (ee->residents().size() > max_resident) {
+          return r.Fail(ResourceExhausted("resident program limit reached"));
+        }
+        ++next_ee_id_;
+        ees_.emplace(ee->function_class(), std::move(ee));
+      });
+    } else {
+      a.Unordered(
+          0x1A, ees_, [](const auto& entry) { return entry.second->id(); },
+          [](auto& r, auto& entry) { entry.second->Visit(r); });
     }
-    code_cache_.MixDigest(hasher);
-    hardware_.MixDigest(hasher);
+    hardware_.Visit(a);
   }
 
  private:

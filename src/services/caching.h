@@ -72,22 +72,6 @@ class CachingService {
           objects,
       std::uint64_t hits, std::uint64_t misses);
 
-  /// Mixes cache residency (LRU order, object bodies) and hit/miss
-  /// accounting into a rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(hits_);
-    hasher.Mix(misses_);
-    hasher.Mix(static_cast<std::uint64_t>(lru_.size()));
-    for (std::uint64_t content_id : lru_) {
-      hasher.Mix(content_id);
-      const auto& body = objects_.at(content_id).first;
-      hasher.Mix(static_cast<std::uint64_t>(body.size()));
-      for (std::int64_t word : body) {
-        hasher.Mix(static_cast<std::uint64_t>(word));
-      }
-    }
-  }
-
  private:
   void OnShuttle(wli::Ship& ship, const wli::Shuttle& shuttle);
   void StoreObject(std::uint64_t content_id, std::vector<std::int64_t> body);

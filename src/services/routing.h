@@ -80,8 +80,8 @@ class DistanceVectorRouter {
 
   /// Per-node routing table: probed on every data hop, mutated only on
   /// advertisement/expiry, so a sorted flat vector beats a node-based map.
-  /// Iteration stays in ascending destination order — MixDigest folds and
-  /// genesis snapshot bytes are identical to the old std::map layout.
+  /// Iteration stays in ascending destination order, so genesis snapshot
+  /// bytes are identical to the old std::map layout.
   using RouteTable = base::FlatMap<net::NodeId, Route>;
 
   // ---- Snapshot/restore support (genesis) ----
@@ -93,25 +93,6 @@ class DistanceVectorRouter {
     ads_sent_ = ads_sent;
     control_bytes_ = control_bytes;
     dropped_no_route_ = dropped_no_route;
-  }
-
-  /// Mixes routing tables and control accounting into a rolling state digest
-  /// (flight-recorder hook). Route expiries are virtual-time values and thus
-  /// replay deterministically, so they are included.
-  void MixDigest(Hasher& hasher) const {
-    hasher.Mix(ads_sent_);
-    hasher.Mix(control_bytes_);
-    hasher.Mix(dropped_no_route_);
-    hasher.Mix(static_cast<std::uint64_t>(tables_.size()));
-    for (const auto& table : tables_) {
-      hasher.Mix(static_cast<std::uint64_t>(table.size()));
-      for (const auto& [dst, route] : table) {
-        hasher.Mix(dst);
-        hasher.Mix(route.next_hop);
-        hasher.Mix(route.metric);
-        hasher.Mix(static_cast<std::uint64_t>(route.expires));
-      }
-    }
   }
 
  private:

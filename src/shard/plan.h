@@ -21,6 +21,7 @@
 #include <functional>
 #include <vector>
 
+#include "base/hash.h"
 #include "base/status.h"
 #include "net/topology.h"
 #include "net/types.h"

@@ -33,15 +33,28 @@ class CodeRepository {
   /// Looks a program up by digest.
   const Program* Find(Digest digest) const;
 
-  /// All stored digests in ascending order (deterministic enumeration for
-  /// snapshot serialization).
-  std::vector<Digest> Digests() const;
-
-  /// Mixes the stored program set into a rolling state digest
-  /// (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
-
   std::size_t size() const { return programs_.size(); }
+
+  /// Snapshot fields (base/archive.h): one program image per stored program,
+  /// in ascending digest order. Loading installs each one, so a restored
+  /// repository is verified like a published one.
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (A::kLoading) {
+      a.ForRecords(0x01, [this](auto& r) {
+        auto program = Program::Deserialize(r.bytes());
+        if (!program.ok()) return r.Fail(program.status());
+        if (auto digest = Install(*std::move(program)); !digest.ok()) {
+          r.Fail(digest.status());
+        }
+      });
+    } else {
+      a.ImageSet(0x01, programs_,
+                 [](const auto& entry) -> const Program& {
+                   return entry.second;
+                 });
+    }
+  }
 
  private:
   std::unordered_map<Digest, Program> programs_;
@@ -64,20 +77,29 @@ class CodeCache {
   /// Lookup without recency/stat side effects.
   bool Contains(Digest digest) const;
 
-  /// Program lookup without recency/stat side effects (nullptr on miss).
-  const Program* Peek(Digest digest) const;
-
-  /// Resident digests from most- to least-recently used (snapshot order).
-  std::vector<Digest> LruDigests() const;
-
-  /// Mixes residency (LRU order), byte usage and hit/miss accounting into a
-  /// rolling state digest (flight-recorder hook).
-  void MixDigest(Hasher& hasher) const;
-
-  /// Restores hit/miss accounting from a snapshot.
-  void RestoreCounters(std::uint64_t hits, std::uint64_t misses) {
-    hits_ = hits;
-    misses_ = misses;
+  /// Snapshot fields (base/archive.h), under the ship record's tags: the
+  /// resident program images from most to least recently used, then the
+  /// hit/miss counters. Loading Put()s the images oldest first, so the LRU
+  /// order and byte usage come back.
+  template <class A>
+  void Visit(A& a) {
+    if constexpr (A::kLoading) {
+      std::vector<Program> programs;
+      a.ForRecords(0x17, [&programs](auto& r) {
+        auto program = Program::Deserialize(r.bytes());
+        if (!program.ok()) return r.Fail(program.status());
+        programs.push_back(*std::move(program));
+      });
+      for (auto it = programs.rbegin(); it != programs.rend() && a.ok(); ++it) {
+        if (Status status = Put(*it); !status.ok()) a.Fail(status);
+      }
+    } else {
+      a.Images(0x17, lru_, [this](Digest digest) -> const Program& {
+        return entries_.find(digest)->second.program;
+      });
+    }
+    a.U64(0x18, hits_);
+    a.U64(0x19, misses_);
   }
 
   std::uint64_t hits() const { return hits_; }

@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "base/archive.h"
 #include "base/flat_map.h"
 #include "base/hash.h"
 #include "base/rng.h"
@@ -565,6 +570,119 @@ TEST(FlatNameMap, LexicographicIterationAndStableAddresses) {
   ASSERT_NE(m.find("bravo"), m.end());
   EXPECT_EQ(m.find("bravo")->second, 2);
   EXPECT_EQ(m.Find("zulu"), nullptr);
+}
+
+// ---- Field archives --------------------------------------------------------
+
+enum class Color : std::uint32_t { kRed, kGreen, kCount };
+
+struct Fields {
+  std::uint64_t count = 0;
+  Color color = Color::kRed;
+  std::string name;
+  std::vector<std::uint64_t> values;
+  std::map<std::uint32_t, double> weights;
+
+  template <class A>
+  void Visit(A& a) {
+    a.U64(0x01, count);
+    a.Enum(0x02, color, static_cast<std::uint32_t>(Color::kCount),
+           "color out of range");
+    a.Str(0x03, name);
+    a.U64s(0x04, values);
+    a.Each(0x05, weights, [](auto& r, auto& weight) {
+      r.U32(0x01, weight.first);
+      r.F64(0x02, weight.second);
+    });
+  }
+};
+
+std::uint64_t HashOf(Fields& fields) {
+  Hasher hasher;
+  StateHasher archive(hasher);
+  fields.Visit(archive);
+  return hasher.digest();
+}
+
+TEST(Archive, EncoderWritesTlvWriterBytesAndDecoderReadsThemBack) {
+  Fields fields{7, Color::kGreen, "ship", {1, 2}, {{3, 0.5}}};
+  TlvWriter writer;
+  writer.PutU64(0x01, 7);
+  writer.PutU32(0x02, 1);
+  writer.PutString(0x03, "ship");
+  writer.PutU64(0x04, 1);
+  writer.PutU64(0x04, 2);
+  TlvWriter weight;
+  weight.PutU32(0x01, 3);
+  weight.PutDouble(0x02, 0.5);
+  writer.PutNested(0x05, weight.Finish());
+  const std::vector<std::byte> bytes = EncodeFields(fields);
+  EXPECT_EQ(bytes, writer.Finish());
+
+  Fields read;
+  ASSERT_TRUE(DecodeFields(bytes, read).ok());
+  EXPECT_EQ(EncodeFields(read), bytes);
+  EXPECT_EQ(HashOf(read), HashOf(fields));
+}
+
+TEST(Archive, DecoderIsStrictButKeepsAbsentFields) {
+  TlvWriter absent;  // only the name: everything else keeps its value
+  absent.PutString(0x03, "old");
+  Fields kept{9, Color::kGreen, "", {}, {}};
+  ASSERT_TRUE(DecodeFields(absent.Finish(), kept).ok());
+  EXPECT_EQ(kept.count, 9u);
+  EXPECT_EQ(kept.color, Color::kGreen);
+  EXPECT_EQ(kept.name, "old");
+
+  TlvWriter out_of_range;
+  out_of_range.PutU32(0x02, 2);
+  Fields a;
+  EXPECT_FALSE(DecodeFields(out_of_range.Finish(), a).ok());
+
+  TlvWriter wrong_width;
+  wrong_width.PutU32(0x01, 7);  // count is a u64 field
+  Fields b;
+  EXPECT_FALSE(DecodeFields(wrong_width.Finish(), b).ok());
+
+  std::vector<std::byte> corrupt = EncodeFields(a);
+  corrupt[0] ^= std::byte{1};
+  Fields c;
+  EXPECT_FALSE(DecodeFields(corrupt, c).ok());
+
+  Rng rng(3);
+  TlvWriter three_words;
+  for (int i = 0; i < 3; ++i) three_words.PutU64(0x01, 1);
+  EXPECT_FALSE(DecodeFields(three_words.Finish(), rng).ok());
+}
+
+TEST(Archive, HasherSeesEveryFieldAndIgnoresHashTableOrder) {
+  Fields base{7, Color::kGreen, "ship", {1, 2}, {{3, 0.5}}};
+  Fields other = base;
+  other.weights[3] = 0.25;
+  EXPECT_NE(HashOf(other), HashOf(base));
+  other = base;
+  other.values.push_back(0);
+  EXPECT_NE(HashOf(other), HashOf(base));
+
+  // A hash table's iteration order depends on its history, not its content.
+  std::unordered_map<std::uint64_t, std::uint64_t> forward, backward;
+  for (std::uint64_t k = 0; k < 64; ++k) forward[k] = k * k;
+  backward.reserve(512);
+  for (std::uint64_t k = 64; k-- > 0;) backward[k] = k * k;
+  auto mix = [](auto& table) {
+    Hasher hasher;
+    StateHasher archive(hasher);
+    archive.Unordered(
+        0x01, table, [](const auto& e) { return e.first; },
+        [](auto& r, auto& e) {
+          r.U64(0x01, e.first);
+          r.U64(0x02, e.second);
+        });
+    return hasher.digest();
+  };
+  EXPECT_EQ(mix(forward), mix(backward));
+  backward[5] = 0;
+  EXPECT_NE(mix(forward), mix(backward));
 }
 
 }  // namespace

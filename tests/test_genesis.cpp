@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
+#include <fstream>
+#include <functional>
+#include <iterator>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/genetic_transcoder.h"
@@ -16,6 +21,7 @@
 #include "net/topology.h"
 #include "sim/simulator.h"
 #include "telemetry/latency_plane.h"
+#include "vm/assembler.h"
 
 namespace viator {
 namespace {
@@ -480,6 +486,171 @@ TEST(GenesisValidation, ExtraRegistrationIsValidated) {
   genesis::FailureInjectorAdapter dup(injector);
   EXPECT_FALSE(manager.RegisterExtra(dup).ok());
 }
+
+// ---- Wire format ------------------------------------------------------------
+
+// tests/golden/genesis_3x3_drive40.wns was captured from the populated 3x3
+// replica after Drive(0, 40) by the codecs that predate the field archives:
+// today's encoder must write the same bytes, and today's decoder must load
+// the older snapshot.
+TEST(GenesisGolden, CaptureMatchesRecordedSnapshotAndRestoresIt) {
+  std::ifstream in(VIATOR_GOLDEN_DIR "/genesis_3x3_drive40.wns",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+  std::vector<std::byte> golden(raw.size());
+  std::memcpy(golden.data(), raw.data(), raw.size());
+
+  Replica replica;
+  Drive(replica, 0, 40);
+  genesis::GenesisManager manager(*replica.network);
+  auto snapshot = manager.CaptureFull();
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(*snapshot, golden);
+
+  Replica restored = Replica(Replica::Mode::kFresh);
+  genesis::GenesisManager target(*restored.network);
+  ASSERT_TRUE(target.RestoreFull(golden).ok());
+  genesis::GenesisManager recapture(*restored.network);
+  auto again = recapture.CaptureFull();
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*again, golden);
+}
+
+// ---- State hash coverage ----------------------------------------------------
+
+// One field of one hashed section, set to `variant` (0 or 1) on an
+// otherwise identical replica.
+struct Mutation {
+  const char* name;
+  std::uint32_t section;
+  std::function<void(Replica&, int variant)> apply;
+};
+
+std::ostream& operator<<(std::ostream& out, const Mutation& m) {
+  return out << m.name;
+}
+
+class StateHashCoverage : public ::testing::TestWithParam<Mutation> {};
+
+std::vector<std::byte> SectionBytes(Replica& r, std::uint32_t section) {
+  genesis::GenesisManager manager(*r.network);
+  auto snapshot = manager.CaptureFull();
+  EXPECT_TRUE(snapshot.ok());
+  auto parsed = genesis::ParseSnapshot(*snapshot);
+  EXPECT_TRUE(parsed.ok());
+  const genesis::SectionRecord* record = parsed->Find(section);
+  return record != nullptr ? record->payload : std::vector<std::byte>{};
+}
+
+std::uint64_t StateDigest(const Replica& r) {
+  Hasher hasher;
+  r.network->MixDigest(hasher);
+  return hasher.digest();
+}
+
+TEST_P(StateHashCoverage, OneFieldChangesSectionBytesAndDigest) {
+  const Mutation& mutation = GetParam();
+  Replica base, same, changed;
+  for (Replica* r : {&base, &same, &changed}) Drive(*r, 0, 16);
+  mutation.apply(base, 0);
+  mutation.apply(same, 0);
+  mutation.apply(changed, 1);
+  for (Replica* r : {&base, &same, &changed}) r->simulator.RunAll();
+
+  // Control: the same mutation leaves identical bytes and digests.
+  ASSERT_EQ(SectionBytes(same, mutation.section),
+            SectionBytes(base, mutation.section));
+  ASSERT_EQ(StateDigest(same), StateDigest(base));
+  EXPECT_NE(SectionBytes(changed, mutation.section),
+            SectionBytes(base, mutation.section));
+  EXPECT_NE(StateDigest(changed), StateDigest(base));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sections, StateHashCoverage,
+    ::testing::Values(
+        Mutation{"fact_value", genesis::kSectionShips,
+                 [](Replica& r, int v) {
+                   r.network->ship(4)->facts().Touch(77, 100 + v, 1.0,
+                                                     r.simulator.now());
+                 }},
+        Mutation{"ledger_episode_uses", genesis::kSectionLedger,
+                 [](Replica& r, int v) {
+                   auto& ledger = r.network->ledger();
+                   ledger.RecordPlacement(901, 2, r.simulator.now());
+                   for (int i = 0; i <= v; ++i) ledger.RecordUse(901);
+                 }},
+        Mutation{"reputation_score", genesis::kSectionReputation,
+                 [](Replica& r, int v) {
+                   r.network->reputation().ReportInteraction(5, v == 0);
+                 }},
+        Mutation{"cluster_member", genesis::kSectionClusters,
+                 [](Replica& r, int v) {
+                   r.network->clusters().ObserveInteraction(
+                       1, static_cast<net::NodeId>(6 + v), 50.0);
+                 }},
+        Mutation{"demand_entry", genesis::kSectionDemand,
+                 [](Replica& r, int v) {
+                   r.network->demand().Record(
+                       3, node::FirstLevelRole::kDelegation, 1.0 + v);
+                 }},
+        Mutation{"overlay", genesis::kSectionOverlays,
+                 [](Replica& r, int v) {
+                   ASSERT_TRUE(r.network->overlays()
+                                   .Spawn("cov", {0, static_cast<net::NodeId>(
+                                                         7 + v)})
+                                   .ok());
+                 }},
+        Mutation{"morphing_counter", genesis::kSectionMorphing,
+                 [](Replica& r, int v) {
+                   wli::Shuttle shuttle = wli::Shuttle::Data(0, 1, {}, 1);
+                   for (int i = 0; i <= v; ++i) {
+                     (void)r.network->morphing().MorphForDock(shuttle);
+                   }
+                 }},
+        Mutation{"feedback_counter", genesis::kSectionFeedback,
+                 [](Replica& r, int v) {
+                   for (int i = 0; i <= v; ++i) {
+                     r.network->feedback().Publish(wli::FeedbackSignal{});
+                   }
+                 }},
+        Mutation{"network_counter", genesis::kSectionNetworkCounters,
+                 [](Replica& r, int v) {
+                   for (int i = 0; i <= v; ++i) r.network->NextFunctionId();
+                 }},
+        Mutation{"network_rng", genesis::kSectionNetworkRng,
+                 [](Replica& r, int v) {
+                   for (int i = 0; i <= v; ++i) r.network->rng().Next();
+                 }},
+        Mutation{"fabric_link_bytes", genesis::kSectionFabric,
+                 [](Replica& r, int v) {
+                   net::Frame frame;
+                   frame.from = 0;
+                   frame.to = 1;
+                   frame.size_bytes = static_cast<std::uint32_t>(100 + v);
+                   ASSERT_TRUE(r.network->fabric().Send(std::move(frame)).ok());
+                 }},
+        Mutation{"link_up_flag", genesis::kSectionTopology,
+                 [](Replica& r, int v) { r.topology.SetLinkUp(3, v == 0); }},
+        Mutation{"placement_host", genesis::kSectionPlacements,
+                 [](Replica& r, int v) {
+                   wli::NetFunction function;
+                   function.name = "cov";
+                   r.network->DeployFunction(static_cast<net::NodeId>(2 + v),
+                                             function);
+                 }},
+        Mutation{"repository_program", genesis::kSectionRepository,
+                 [](Replica& r, int v) {
+                   auto program = vm::Assemble(
+                       "cov", "  push " + std::to_string(v) + "\n  halt\n");
+                   ASSERT_TRUE(program.ok());
+                   ASSERT_TRUE(r.network->PublishProgram(*program, 0).ok());
+                 }}),
+    [](const ::testing::TestParamInfo<Mutation>& test) {
+      return std::string(test.param.name);
+    });
 
 // ---- Genome fuzzing (satellite: DecodeBlueprint never crashes) --------------
 

@@ -1,7 +1,8 @@
 // Pins the routing hot path's allocation contract: once a topology's route
 // cache, adjacency and sweep scratch have reached their working size, refilling
 // a route row — whether LRU pressure evicted it or a structural change
-// staled it — performs no heap allocation at all.
+// staled it — performs no heap allocation at all. Also pins that hashing a
+// network's state (the per-window state hash) allocates nothing.
 //
 // This binary replaces the global operator new/delete family with counting
 // wrappers over malloc/free, so it stands alone: no other test shares the
@@ -13,7 +14,11 @@
 #include <cstdlib>
 #include <new>
 
+#include "base/hash.h"
+#include "core/wandering_network.h"
 #include "net/topology.h"
+#include "sim/simulator.h"
+#include "vm/assembler.h"
 
 namespace {
 
@@ -120,6 +125,42 @@ TEST(RouteAlloc, GenerationRefillsAllocateNothing) {
   EXPECT_GE(t.route_cache_stats().invalidations - invalidations, 10u);
   EXPECT_EQ(hops[1], 1u);     // direct while the link is up
   EXPECT_EQ(hops[0], kSide);  // around via the row below while down
+}
+
+TEST(StateHash, WarmNetworkAllocatesNothing) {
+  sim::Simulator simulator;
+  Topology topology = MakeGrid(3, 3);
+  wli::WanderingNetwork network(simulator, topology, wli::WnConfig{}, 7);
+  network.PopulateAllNodes();
+  // A code shuttle to every ship: each one caches the program, runs it in
+  // an EE (counting class activity) and the program stores a fact.
+  auto program = vm::Assemble(
+      "hash-alloc", "  push 42\n  push 7\n  push 100\n  sys put_fact\n"
+                    "  pop\n  halt\n");
+  ASSERT_TRUE(program.ok());
+  auto digest = network.PublishProgram(*program, 0);
+  ASSERT_TRUE(digest.ok());
+  for (NodeId dst = 1; dst < topology.node_count(); ++dst) {
+    wli::Shuttle shuttle = wli::Shuttle::Data(0, dst, {1}, dst);
+    shuttle.code_digest = *digest;
+    ASSERT_TRUE(network.Inject(std::move(shuttle)).ok());
+  }
+  simulator.RunAll();
+  const wli::Ship& ship = *network.ship(4);
+  ASSERT_GT(ship.code_executions(), 0u);  // so its class activity is set
+  ASSERT_GT(ship.os().ee_count(), 0u);
+  ASSERT_GT(ship.os().code_cache().entry_count(), 0u);
+  ASSERT_GT(ship.facts().size(), 0u);
+
+  Hasher warm;
+  network.MixDigest(warm);
+  const std::uint64_t before = Allocs();
+  Hasher hasher;
+  network.MixDigest(hasher);
+  const std::uint64_t allocs = Allocs() - before;
+
+  EXPECT_EQ(allocs, 0u);
+  EXPECT_EQ(hasher.digest(), warm.digest());
 }
 
 }  // namespace

@@ -50,11 +50,14 @@ namespace {
 using namespace viator;  // tool code; the library never does this
 
 // .wnj flight-file framing: TLV with a magic string, the nested scenario
-// config and the nested journal payload.
+// config and the nested journal payload. The magic names the state-hash
+// definition too: "wnj2" window hashes cover every decision-state section
+// (WanderingNetwork::VisitState) with the word-wise Hasher, so a "wnj1"
+// file's hashes cannot be compared with a fresh run's and it is refused.
 constexpr TlvTag kTagMagic = 1;
 constexpr TlvTag kTagConfig = 2;
 constexpr TlvTag kTagJournal = 3;
-constexpr std::string_view kMagic = "wnj1";
+constexpr std::string_view kMagic = "wnj2";
 
 int Usage() {
   std::cerr
@@ -107,13 +110,14 @@ std::optional<FlightFile> ReadFlightFile(const std::string& path) {
     return std::nullopt;
   }
   FlightFile file;
-  bool magic_ok = false, config_ok = false, journal_ok = false;
+  std::string magic;
+  bool config_ok = false, journal_ok = false;
   while (reader.HasNext()) {
     auto record = reader.Next();
     if (!record.ok()) break;
     switch (record->tag) {
       case kTagMagic:
-        magic_ok = record->AsString() == kMagic;
+        magic = record->AsString();
         break;
       case kTagConfig: {
         auto config = replay::ScenarioConfig::Load(record->payload);
@@ -130,7 +134,13 @@ std::optional<FlightFile> ReadFlightFile(const std::string& path) {
         break;  // forward compatible
     }
   }
-  if (!magic_ok || !config_ok || !journal_ok) {
+  if (magic == "wnj1") {
+    std::cerr << "wnreplay: " << path
+              << " is a wnj1 flight file: its window hashes predate the "
+                 "current state-hash definition; record it again\n";
+    return std::nullopt;
+  }
+  if (magic != kMagic || !config_ok || !journal_ok) {
     std::cerr << "wnreplay: " << path << " is malformed\n";
     return std::nullopt;
   }
