@@ -69,9 +69,11 @@ int main() {
     // Build a population of 40 distinct programs of ~identical size.
     std::vector<vm::Program> population;
     for (int i = 0; i < 40; ++i) {
-      auto program = vm::Assemble(
-          "p" + std::to_string(i),
-          "push " + std::to_string(i) + "\nsys emit\nhalt\n");
+      std::string source = "push ";
+      source += std::to_string(i);
+      source += "\nsys emit\nhalt\n";
+      auto program = vm::Assemble(std::string("p").append(std::to_string(i)),
+                                  source);
       population.push_back(*program);
     }
     const std::size_t each = population[0].WireSize() + 16;

@@ -116,8 +116,10 @@ int main() {
          FormatDouble(overhead(full_ms), 1) + "%",
          std::to_string(decisions), std::to_string(checkpoints)});
 
-    const std::string suffix =
-        "_" + std::to_string(side) + "x" + std::to_string(side);
+    std::string suffix = "_";
+    suffix += std::to_string(side);
+    suffix += 'x';
+    suffix += std::to_string(side);
     // Deterministic coverage counters — these gate in CI.
     report.Set("decisions" + suffix, static_cast<double>(decisions));
     report.Set("window_hashes" + suffix, static_cast<double>(hashes));

@@ -6,6 +6,14 @@
 // is swept. The resonance detector fires when correlated facts appear on
 // enough ships; we report emerged functions per pulse as a function of the
 // correlation strength, plus the effect of the detector's thresholds.
+//
+// Exits 1 when the measured curves lose EXPERIMENTS.md's shape: something
+// emerges at p = 0.1, emergence falls as p rises at some support level, or
+// the curve does not shift right as the required support grows (the first
+// p at which half the replicas emerge must never fall with support, and
+// must be higher at support 12 than at support 4).
+#include <algorithm>
+#include <array>
 #include <cstdio>
 #include <iostream>
 
@@ -52,6 +60,54 @@ double EmergedAt(double correlation, std::size_t min_support,
   return static_cast<double>(wn.functions_emerged());
 }
 
+constexpr std::array<double, 6> kCorrelations = {0.1, 0.3, 0.5,
+                                                  0.7, 0.9, 1.0};
+constexpr std::array<std::size_t, 3> kSupports = {4, 8, 12};
+
+// Mean emerged functions per cell: [support index][correlation index].
+using Curves =
+    std::array<std::array<double, kCorrelations.size()>, kSupports.size()>;
+
+// The first correlation index at which half the replicas emerge (the
+// table's width when none does).
+std::size_t HalfPoint(const std::array<double, kCorrelations.size()>& curve) {
+  std::size_t at = 0;
+  while (at < curve.size() && curve[at] < 0.5) ++at;
+  return at;
+}
+
+// Prints every way the curves miss the expected shape; true when none does.
+bool ShapeHolds(const Curves& emerged) {
+  bool holds = true;
+  const auto fail = [&holds](const char* what, std::size_t support,
+                             double p) {
+    std::printf("SHAPE FAIL: %s (support=%zu, p=%.1f)\n", what, support, p);
+    holds = false;
+  };
+  for (std::size_t s = 0; s < kSupports.size(); ++s) {
+    if (emerged[s][0] != 0.0) {
+      fail("functions emerge below threshold", kSupports[s],
+           kCorrelations[0]);
+    }
+    for (std::size_t c = 1; c < kCorrelations.size(); ++c) {
+      if (emerged[s][c] < emerged[s][c - 1]) {
+        fail("emergence falls as p rises", kSupports[s], kCorrelations[c]);
+      }
+    }
+    if (s > 0 && HalfPoint(emerged[s]) < HalfPoint(emerged[s - 1])) {
+      fail("half-emergence point moves left as support grows", kSupports[s],
+           kCorrelations[std::min(HalfPoint(emerged[s]),
+                                  kCorrelations.size() - 1)]);
+    }
+  }
+  if (HalfPoint(emerged.back()) <= HalfPoint(emerged.front())) {
+    fail("curve does not shift right from the lowest to the highest support",
+         kSupports.back(), kCorrelations[std::min(HalfPoint(emerged.back()),
+                                                  kCorrelations.size() - 1)]);
+  }
+  return holds;
+}
+
 }  // namespace
 
 int main() {
@@ -61,16 +117,20 @@ int main() {
   TablePrinter table({"co-occurrence p", "support=4", "support=8",
                       "support=12"});
   telemetry::BenchReport report("resonance");
-  for (double p : {0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
+  Curves emerged{};
+  for (std::size_t c = 0; c < kCorrelations.size(); ++c) {
+    const double p = kCorrelations[c];
     std::vector<std::string> row{FormatDouble(p, 1)};
-    for (std::size_t support : {4u, 8u, 12u}) {
+    for (std::size_t s = 0; s < kSupports.size(); ++s) {
+      const std::size_t support = kSupports[s];
       const auto agg = sim::RunReplicas(
           [p, support](std::size_t, std::uint64_t seed) {
             return sim::ReplicaMetrics{
                 {"emerged", EmergedAt(p, support, seed)}};
           },
           20, 777 + support);
-      row.push_back(FormatDouble(agg.at("emerged").mean, 2));
+      emerged[s][c] = agg.at("emerged").mean;
+      row.push_back(FormatDouble(emerged[s][c], 2));
       report.Set("emerged_p" + std::to_string(static_cast<int>(p * 10)) +
                      "_support" + std::to_string(support),
                  agg.at("emerged").mean);
@@ -113,5 +173,5 @@ int main() {
               " support threshold — a sigmoid that shifts right as the"
               " required support grows. Below threshold, nothing emerges"
               " (no spurious autopoiesis).\n");
-  return 0;
+  return ShapeHolds(emerged) ? 0 : 1;
 }

@@ -3,8 +3,6 @@
 namespace viator {
 namespace {
 
-constexpr std::size_t kHeaderSize = 2 + 4;  // tag + length
-
 std::uint64_t ReadLe(std::span<const std::byte> in, std::size_t at,
                      std::size_t bytes) {
   std::uint64_t value = 0;
@@ -14,48 +12,71 @@ std::uint64_t ReadLe(std::span<const std::byte> in, std::size_t at,
   return value;
 }
 
-void AppendLe(std::vector<std::byte>& out, std::uint64_t value, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<std::byte>((value >> (8 * i)) & 0xff));
-  }
-}
-
 }  // namespace
 
 // ---- TlvEncoder -------------------------------------------------------------
 
-void TlvEncoder::PutHeader(TlvTag tag, std::uint32_t length) {
-  AppendLe(out_, tag, 2);
-  AppendLe(out_, length, 4);
-}
-
-void TlvEncoder::PutWord(TlvTag tag, std::uint64_t value, int bytes) {
-  PutHeader(tag, static_cast<std::uint32_t>(bytes));
-  AppendLe(out_, value, bytes);
+void TlvEncoder::PutWord(TlvTag tag, std::uint64_t value, std::size_t bytes) {
+  AppendTlvWord(out_, tag, value, bytes);
 }
 
 void TlvEncoder::PutBytes(TlvTag tag, std::span<const std::byte> bytes) {
-  PutHeader(tag, static_cast<std::uint32_t>(bytes.size()));
+  AppendTlvHeader(out_, tag, static_cast<std::uint32_t>(bytes.size()));
   out_.insert(out_.end(), bytes.begin(), bytes.end());
 }
 
 std::size_t TlvEncoder::Open(TlvTag tag) {
-  PutHeader(tag, 0);
-  return out_.size();
+  AppendTlvHeader(out_, tag, 0);
+  records_.push_back(Record{out_.size(), 0});
+  return records_.size() - 1;
 }
 
-void TlvEncoder::Close(std::size_t body) {
-  const Digest checksum =
-      HashBytes(std::span(out_).subspan(body, out_.size() - body));
-  PutWord(kTlvChecksumTag, checksum, 8);
-  const auto length = static_cast<std::uint32_t>(out_.size() - body);
+void TlvEncoder::Close(std::size_t index) {
+  Record& record = records_[index];
+  record.trailer = out_.size();
+  PutWord(kTlvChecksumTag, 0, 8);
+  const auto length = static_cast<std::uint32_t>(out_.size() - record.body);
   for (int i = 0; i < 4; ++i) {
-    out_[body - 4 + i] = static_cast<std::byte>((length >> (8 * i)) & 0xff);
+    out_[record.body - 4 + i] =
+        static_cast<std::byte>((length >> (8 * i)) & 0xff);
   }
 }
 
-std::vector<std::byte> TlvEncoder::Finish() {
-  PutWord(kTlvChecksumTag, HashBytes(out_), 8);
+std::vector<std::byte> TlvEncoder::Finish(Digest* digest) {
+  // One forward pass keeps an FNV-1a chain per open record, chain 0 being
+  // the stream's own. Every byte extends every open chain. A record's chain
+  // is complete where its trailer starts, so its checksum is written there,
+  // before the enclosing chains read the trailer.
+  const std::size_t end = out_.size();
+  std::vector<Digest> chains = {kFnvOffsetBasis};
+  std::vector<std::size_t> open;  // records_ index per chain after the first
+  std::size_t at = 0;
+  for (std::size_t next = 0;;) {
+    const std::size_t close_at =
+        open.empty() ? end : records_[open.back()].trailer;
+    const bool opening =
+        next < records_.size() && records_[next].body <= close_at;
+    const std::size_t to = opening ? records_[next].body : close_at;
+    HashCombineEach(chains, std::span(out_).subspan(at, to - at));
+    at = to;
+    if (opening) {
+      chains.push_back(kFnvOffsetBasis);
+      open.push_back(next++);
+      continue;
+    }
+    if (open.empty()) break;
+    for (int i = 0; i < 8; ++i) {
+      out_[close_at + kTlvHeaderSize + i] =
+          static_cast<std::byte>((chains.back() >> (8 * i)) & 0xff);
+    }
+    chains.pop_back();
+    open.pop_back();
+  }
+  PutWord(kTlvChecksumTag, chains[0], 8);
+  if (digest != nullptr) {
+    *digest = HashCombine(chains[0], std::span(out_).subspan(end));
+  }
+  records_.clear();
   return std::move(out_);
 }
 
@@ -66,7 +87,7 @@ TlvDecoder::TlvDecoder(std::span<const std::byte> stream) : stream_(stream) {
   if (!status_.ok()) return;
   // Verify() accepted the framing, so the records run up to the trailer.
   while (TagAt(end_) != kTlvChecksumTag) {
-    end_ += kHeaderSize + PayloadAt(end_).size();
+    end_ += kTlvHeaderSize + PayloadAt(end_).size();
   }
 }
 
@@ -87,7 +108,7 @@ TlvTag TlvDecoder::TagAt(std::size_t at) const {
 }
 
 std::span<const std::byte> TlvDecoder::PayloadAt(std::size_t at) const {
-  return stream_.subspan(at + kHeaderSize, ReadLe(stream_, at + 2, 4));
+  return stream_.subspan(at + kTlvHeaderSize, ReadLe(stream_, at + 2, 4));
 }
 
 std::optional<std::span<const std::byte>> TlvDecoder::Take(TlvTag tag) {
@@ -95,7 +116,7 @@ std::optional<std::span<const std::byte>> TlvDecoder::Take(TlvTag tag) {
        {std::pair{cursor_, end_}, std::pair{std::size_t{0}, cursor_}}) {
     for (std::size_t at = from; at < to;) {
       const std::span<const std::byte> payload = PayloadAt(at);
-      const std::size_t next = at + kHeaderSize + payload.size();
+      const std::size_t next = at + kTlvHeaderSize + payload.size();
       if (TagAt(at) == tag) {
         cursor_ = next;
         return payload;

@@ -15,7 +15,8 @@
 //  * TlvEncoder writes every field as a TLV record (base/tlv.h framing).
 //    A nested record carries its own checksum trailer, exactly like a
 //    finished TlvWriter stream, so the bytes equal a hand-written TlvWriter
-//    codec's.
+//    codec's. The trailers are filled in by Finish, in one pass over the
+//    stream for every nesting level at once.
 //  * TlvDecoder reads them back strictly: every stream's checksum trailer
 //    is verified, a record of the wrong width, an enum out of range or a
 //    check the component makes (Fail) is an error, and the first error
@@ -78,8 +79,8 @@ void Insert(C& items, E&& element) {
 
 }  // namespace archive_internal
 
-/// Writes fields as TLV records into one buffer; Finish() appends the
-/// stream's checksum trailer.
+/// Writes fields as TLV records into one buffer; Finish() fills in every
+/// nested record's checksum and appends the stream's checksum trailer.
 class TlvEncoder {
  public:
   static constexpr bool kLoading = false;
@@ -106,9 +107,9 @@ class TlvEncoder {
 
   template <class Fn>
   bool Nested(TlvTag tag, Fn&& fn) {
-    const std::size_t body = Open(tag);
+    const std::size_t record = Open(tag);
     fn(*this);
-    Close(body);
+    Close(record);
     return true;
   }
   template <class Range, class Fn>
@@ -160,19 +161,30 @@ class TlvEncoder {
   void Fail(const char* /*what*/) {}
   void Fail(const Status& /*status*/) {}
 
-  /// Appends the checksum trailer and returns the stream.
-  std::vector<std::byte> Finish();
+  /// Fills in every nested record's checksum, appends the stream's
+  /// checksum trailer and returns the stream. When `digest` is given it
+  /// receives HashBytes(stream), carried on from the trailer's own chain
+  /// rather than hashed again.
+  std::vector<std::byte> Finish(Digest* digest = nullptr);
 
  private:
-  void PutHeader(TlvTag tag, std::uint32_t length);
-  void PutWord(TlvTag tag, std::uint64_t value, int bytes);
+  // A nested record: where its body starts and where its checksum trailer
+  // (written with a zero checksum until Finish) starts.
+  struct Record {
+    std::size_t body = 0;
+    std::size_t trailer = 0;
+  };
+
+  void PutWord(TlvTag tag, std::uint64_t value, std::size_t bytes);
   void PutBytes(TlvTag tag, std::span<const std::byte> bytes);
-  // A record header with its length left open; returns the body offset.
+  // A record header with its length left open; returns the record's index.
   std::size_t Open(TlvTag tag);
-  // Ends the record opened at `body` with a checksum trailer over its body.
-  void Close(std::size_t body);
+  // Ends record `index` with a placeholder checksum trailer and sets its
+  // length.
+  void Close(std::size_t index);
 
   std::vector<std::byte> out_;
+  std::vector<Record> records_;  // in the order they were opened
 };
 
 /// Strict reader of a TLV stream written by TlvEncoder.

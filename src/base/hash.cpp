@@ -1,5 +1,6 @@
 #include "base/hash.h"
 
+#include <algorithm>
 #include <array>
 
 namespace viator {
@@ -19,6 +20,37 @@ Digest HashCombine(Digest seed, std::span<const std::byte> bytes) {
     h *= kFnvPrime;
   }
   return h;
+}
+
+namespace {
+
+// The chains live in locals for the pass, so the compiler keeps them in
+// registers and interleaves their multiplies.
+template <std::size_t N>
+void HashChains(Digest* chains, std::span<const std::byte> bytes) {
+  Digest h[N];
+  for (std::size_t c = 0; c < N; ++c) h[c] = chains[c];
+  for (std::byte b : bytes) {
+    for (std::size_t c = 0; c < N; ++c) {
+      h[c] = (h[c] ^ static_cast<Digest>(b)) * kFnvPrime;
+    }
+  }
+  for (std::size_t c = 0; c < N; ++c) chains[c] = h[c];
+}
+
+}  // namespace
+
+void HashCombineEach(std::span<Digest> chains,
+                     std::span<const std::byte> bytes) {
+  for (std::size_t c = 0; c < chains.size(); c += 4) {
+    Digest* group = chains.data() + c;
+    switch (std::min<std::size_t>(chains.size() - c, 4)) {
+      case 1: HashChains<1>(group, bytes); break;
+      case 2: HashChains<2>(group, bytes); break;
+      case 3: HashChains<3>(group, bytes); break;
+      default: HashChains<4>(group, bytes); break;
+    }
+  }
 }
 
 Digest HashCombineWord(Digest seed, std::uint64_t word) {

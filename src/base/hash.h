@@ -31,6 +31,13 @@ Digest HashString(std::string_view text);
 /// Incrementally extend a digest with more bytes (chainable).
 Digest HashCombine(Digest seed, std::span<const std::byte> bytes);
 
+/// Extends every digest in `chains` with the same bytes, each exactly as
+/// HashCombine(chain, bytes) would. FNV-1a is one multiply per byte in a
+/// dependency chain, so chains run side by side overlap their multiplies:
+/// up to four cost about one pass, and more run four per pass.
+void HashCombineEach(std::span<Digest> chains,
+                     std::span<const std::byte> bytes);
+
 /// Extend a digest with a single 64-bit word (for hashing structured data).
 Digest HashCombineWord(Digest seed, std::uint64_t word);
 

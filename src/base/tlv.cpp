@@ -7,9 +7,9 @@
 namespace viator {
 namespace {
 
-void AppendLe(std::vector<std::byte>& out, std::uint64_t value, int bytes) {
-  for (int i = 0; i < bytes; ++i) {
-    out.push_back(static_cast<std::byte>((value >> (8 * i)) & 0xff));
+void StoreLe(std::byte* at, std::uint64_t value, std::size_t bytes) {
+  for (std::size_t i = 0; i < bytes; ++i) {
+    at[i] = static_cast<std::byte>((value >> (8 * i)) & 0xff);
   }
 }
 
@@ -21,13 +21,27 @@ std::uint64_t ReadLe(std::span<const std::byte> in, std::size_t at, int bytes) {
   return v;
 }
 
-constexpr std::size_t kHeaderSize = 2 + 4;  // tag + length
-
 }  // namespace
 
+void AppendTlvHeader(std::vector<std::byte>& out, TlvTag tag,
+                     std::uint32_t length) {
+  const std::size_t at = out.size();
+  out.resize(at + kTlvHeaderSize);
+  StoreLe(out.data() + at, tag, 2);
+  StoreLe(out.data() + at + 2, length, 4);
+}
+
+void AppendTlvWord(std::vector<std::byte>& out, TlvTag tag,
+                   std::uint64_t value, std::size_t width) {
+  const std::size_t at = out.size();
+  out.resize(at + kTlvHeaderSize + width);
+  StoreLe(out.data() + at, tag, 2);
+  StoreLe(out.data() + at + 2, width, 4);
+  StoreLe(out.data() + at + kTlvHeaderSize, value, width);
+}
+
 void TlvWriter::PutHeader(TlvTag tag, std::uint32_t length) {
-  AppendLe(buffer_, tag, 2);
-  AppendLe(buffer_, length, 4);
+  AppendTlvHeader(buffer_, tag, length);
 }
 
 void TlvWriter::PutBytes(TlvTag tag, std::span<const std::byte> bytes) {
@@ -40,13 +54,11 @@ void TlvWriter::PutString(TlvTag tag, std::string_view text) {
 }
 
 void TlvWriter::PutU64(TlvTag tag, std::uint64_t value) {
-  PutHeader(tag, 8);
-  AppendLe(buffer_, value, 8);
+  AppendTlvWord(buffer_, tag, value, 8);
 }
 
 void TlvWriter::PutU32(TlvTag tag, std::uint32_t value) {
-  PutHeader(tag, 4);
-  AppendLe(buffer_, value, 4);
+  AppendTlvWord(buffer_, tag, value, 4);
 }
 
 void TlvWriter::PutDouble(TlvTag tag, double value) {
@@ -60,9 +72,7 @@ void TlvWriter::PutNested(TlvTag tag, std::span<const std::byte> stream) {
 }
 
 std::vector<std::byte> TlvWriter::Finish() {
-  const Digest checksum = HashBytes(buffer_);
-  PutHeader(kTlvChecksumTag, 8);
-  AppendLe(buffer_, checksum, 8);
+  AppendTlvWord(buffer_, kTlvChecksumTag, HashBytes(buffer_), 8);
   std::vector<std::byte> out;
   out.swap(buffer_);
   return out;
@@ -92,46 +102,46 @@ std::string TlvRecord::AsString() const {
 
 Status TlvReader::Verify() const {
   std::size_t at = 0;
-  while (at + kHeaderSize <= stream_.size()) {
+  while (at + kTlvHeaderSize <= stream_.size()) {
     const TlvTag tag = static_cast<TlvTag>(ReadLe(stream_, at, 2));
     const std::uint64_t len = ReadLe(stream_, at + 2, 4);
-    if (at + kHeaderSize + len > stream_.size()) {
+    if (at + kTlvHeaderSize + len > stream_.size()) {
       return InvalidArgument("truncated TLV record");
     }
     if (tag == kTlvChecksumTag) {
       if (len != 8) return InvalidArgument("malformed checksum trailer");
-      const Digest stored = ReadLe(stream_, at + kHeaderSize, 8);
+      const Digest stored = ReadLe(stream_, at + kTlvHeaderSize, 8);
       const Digest actual = HashBytes(stream_.subspan(0, at));
       if (stored != actual) return InvalidArgument("TLV checksum mismatch");
-      if (at + kHeaderSize + 8 != stream_.size()) {
+      if (at + kTlvHeaderSize + 8 != stream_.size()) {
         return InvalidArgument("bytes after checksum trailer");
       }
       return OkStatus();
     }
-    at += kHeaderSize + len;
+    at += kTlvHeaderSize + len;
   }
   return InvalidArgument("missing checksum trailer");
 }
 
 bool TlvReader::HasNext() const {
-  if (cursor_ + kHeaderSize > stream_.size()) return false;
+  if (cursor_ + kTlvHeaderSize > stream_.size()) return false;
   const TlvTag tag = static_cast<TlvTag>(ReadLe(stream_, cursor_, 2));
   return tag != kTlvChecksumTag;
 }
 
 Result<TlvRecord> TlvReader::Next() {
-  if (cursor_ + kHeaderSize > stream_.size()) {
+  if (cursor_ + kTlvHeaderSize > stream_.size()) {
     return Status(InvalidArgument("read past end of TLV stream"));
   }
   const TlvTag tag = static_cast<TlvTag>(ReadLe(stream_, cursor_, 2));
   const std::uint64_t len = ReadLe(stream_, cursor_ + 2, 4);
-  if (cursor_ + kHeaderSize + len > stream_.size()) {
+  if (cursor_ + kTlvHeaderSize + len > stream_.size()) {
     return Status(InvalidArgument("truncated TLV record"));
   }
   TlvRecord rec;
   rec.tag = tag;
-  rec.payload = stream_.subspan(cursor_ + kHeaderSize, len);
-  cursor_ += kHeaderSize + len;
+  rec.payload = stream_.subspan(cursor_ + kTlvHeaderSize, len);
+  cursor_ += kTlvHeaderSize + len;
   return rec;
 }
 

@@ -12,6 +12,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/status.h"
@@ -24,10 +25,30 @@ using TlvTag = std::uint16_t;
 
 inline constexpr TlvTag kTlvChecksumTag = 0xFFFF;
 
+/// Bytes of a record header (tag + length) and of a checksum trailer.
+inline constexpr std::size_t kTlvHeaderSize = 2 + 4;
+inline constexpr std::size_t kTlvTrailerSize = kTlvHeaderSize + 8;
+
+/// Appends a record header.
+void AppendTlvHeader(std::vector<std::byte>& out, TlvTag tag,
+                     std::uint32_t length);
+
+/// Appends a record holding `value` as `width` little-endian bytes.
+void AppendTlvWord(std::vector<std::byte>& out, TlvTag tag,
+                   std::uint64_t value, std::size_t width);
+
 /// Serializes TLV records into a byte buffer. Finish() appends the checksum
 /// trailer and returns the completed buffer; the writer may then be reused.
 class TlvWriter {
  public:
+  TlvWriter() = default;
+  /// Writes into `buffer`'s storage: its contents are dropped, its capacity
+  /// kept, so a caller that hands its last stream back stops allocating.
+  explicit TlvWriter(std::vector<std::byte> buffer)
+      : buffer_(std::move(buffer)) {
+    buffer_.clear();
+  }
+
   void PutBytes(TlvTag tag, std::span<const std::byte> bytes);
   void PutString(TlvTag tag, std::string_view text);
   void PutU64(TlvTag tag, std::uint64_t value);

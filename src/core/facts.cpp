@@ -91,14 +91,23 @@ std::size_t FactStore::Sweep(sim::TimePoint now) {
 
 std::vector<Fact> FactStore::TopByWeight(std::size_t k) const {
   std::vector<Fact> out;
-  out.reserve(facts_.size());
+  TopByWeight(k, out);
+  return out;
+}
+
+void FactStore::TopByWeight(std::size_t k, std::vector<Fact>& out) const {
+  out.clear();
   for (const auto& [key, fact] : facts_) out.push_back(fact);
-  std::sort(out.begin(), out.end(), [](const Fact& a, const Fact& b) {
+  // Keys are unique, so this is a strict total order and the first k
+  // elements do not depend on how far the rest is sorted.
+  const auto stronger = [](const Fact& a, const Fact& b) {
     if (a.weight != b.weight) return a.weight > b.weight;
     return a.key < b.key;  // deterministic tiebreak
-  });
-  if (out.size() > k) out.resize(k);
-  return out;
+  };
+  const std::size_t top = std::min(k, out.size());
+  std::partial_sort(out.begin(), out.begin() + static_cast<std::ptrdiff_t>(top),
+                    out.end(), stronger);
+  out.resize(top);
 }
 
 std::vector<FactKey> FactStore::Keys() const {

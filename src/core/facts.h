@@ -68,9 +68,17 @@ class FactStore {
 
   /// Top-k facts by weight (for genetic transcoding snapshots).
   std::vector<Fact> TopByWeight(std::size_t k) const;
+  /// The same facts written into `out`, reusing its capacity.
+  void TopByWeight(std::size_t k, std::vector<Fact>& out) const;
 
   /// All keys currently alive (deterministically ordered).
   std::vector<FactKey> Keys() const;
+
+  /// fn(key) for every live key, in unspecified order; allocates nothing.
+  template <class Fn>
+  void ForEachKey(Fn&& fn) const {
+    for (const auto& entry : facts_) fn(entry.first);
+  }
 
   std::uint64_t total_evictions() const { return evictions_; }
   std::uint64_t total_expirations() const { return expirations_; }

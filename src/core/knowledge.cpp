@@ -22,7 +22,14 @@ constexpr TlvTag kTagFactSnapshotWeight = 0x22;
 }  // namespace
 
 std::vector<std::byte> EncodeKnowledgeQuantum(const KnowledgeQuantum& kq) {
-  TlvWriter writer;
+  std::vector<std::byte> out;
+  EncodeKnowledgeQuantum(kq, out);
+  return out;
+}
+
+void EncodeKnowledgeQuantum(const KnowledgeQuantum& kq,
+                            std::vector<std::byte>& out) {
+  TlvWriter writer(std::move(out));
   writer.PutU64(kTagFunctionId, kq.function.id);
   writer.PutString(kTagName, kq.function.name);
   writer.PutU32(kTagRole, static_cast<std::uint32_t>(kq.function.role));
@@ -38,7 +45,7 @@ std::vector<std::byte> EncodeKnowledgeQuantum(const KnowledgeQuantum& kq) {
                   static_cast<std::uint64_t>(snap.value));
     writer.PutDouble(kTagFactSnapshotWeight, snap.weight);
   }
-  return writer.Finish();
+  out = writer.Finish();
 }
 
 Result<KnowledgeQuantum> DecodeKnowledgeQuantum(

@@ -49,6 +49,9 @@ struct KnowledgeQuantum {
 
 /// Serializes a KQ into TLV bytes for a shuttle genome.
 std::vector<std::byte> EncodeKnowledgeQuantum(const KnowledgeQuantum& kq);
+/// The same bytes written into `out`, reusing its capacity.
+void EncodeKnowledgeQuantum(const KnowledgeQuantum& kq,
+                            std::vector<std::byte>& out);
 
 /// Parses one KQ back; validates the checksum trailer.
 Result<KnowledgeQuantum> DecodeKnowledgeQuantum(

@@ -1,7 +1,7 @@
 #include "core/pmp.h"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 
 namespace viator::wli {
 
@@ -98,51 +98,96 @@ std::vector<VerticalWanderer::SpawnDecision> VerticalWanderer::Decide(
 }
 
 void ResonanceDetector::Observe(net::NodeId ship, FactKey key) {
-  holders_[key].insert(ship);
+  const auto it = std::lower_bound(keys_.begin(), keys_.end(), key);
+  if (it == keys_.end() || *it != key) keys_.insert(it, key);
+  observed_.emplace_back(key, Column(ship));
+}
+
+std::uint32_t ResonanceDetector::Column(net::NodeId ship) {
+  if (ship >= columns_.size()) columns_.resize(ship + std::size_t{1}, kNone);
+  if (columns_[ship] == kNone) {
+    columns_[ship] = static_cast<std::uint32_t>(ships_.size());
+    ships_.push_back(ship);
+  }
+  return columns_[ship];
+}
+
+std::uint32_t ResonanceDetector::Find(std::uint32_t rank) {
+  while (parent_[rank] != rank) {
+    parent_[rank] = parent_[parent_[rank]];  // path halving
+    rank = parent_[rank];
+  }
+  return rank;
 }
 
 std::vector<std::vector<FactKey>> ResonanceDetector::DetectAndReset() {
-  // Pairwise resonance, then greedy merge of overlapping pairs into groups.
-  std::vector<std::pair<FactKey, FactKey>> resonant_pairs;
-  for (auto a = holders_.begin(); a != holders_.end(); ++a) {
-    for (auto b = std::next(a); b != holders_.end(); ++b) {
+  const std::size_t keys = keys_.size();
+  const std::size_t words = (ships_.size() + 63) / 64;
+  bits_.assign(keys * words, 0);
+  for (const auto& [key, column] : observed_) {
+    const auto rank = static_cast<std::size_t>(
+        std::lower_bound(keys_.begin(), keys_.end(), key) - keys_.begin());
+    bits_[rank * words + column / 64] |= std::uint64_t{1} << (column % 64);
+  }
+  counts_.assign(keys, 0);
+  for (std::size_t rank = 0; rank < keys; ++rank) {
+    for (std::size_t w = 0; w < words; ++w) {
+      counts_[rank] += std::popcount(bits_[rank * words + w]);
+    }
+  }
+
+  // Pairwise resonance in ascending key order; every resonant pair is
+  // merged at once (union-find over key ranks).
+  parent_.assign(keys, kNone);
+  for (std::size_t a = 0; a < keys; ++a) {
+    const std::uint64_t* row_a = &bits_[a * words];
+    for (std::size_t b = a + 1; b < keys; ++b) {
+      const std::uint64_t* row_b = &bits_[b * words];
       std::size_t both = 0;
-      for (net::NodeId ship : a->second) {
-        both += b->second.count(ship);
+      for (std::size_t w = 0; w < words; ++w) {
+        both += std::popcount(row_a[w] & row_b[w]);
       }
-      const std::size_t either = a->second.size() + b->second.size() - both;
+      const std::size_t either = counts_[a] + counts_[b] - both;
       if (both >= config_.min_support && either > 0 &&
           static_cast<double>(both) / static_cast<double>(either) >=
               config_.min_jaccard) {
-        resonant_pairs.emplace_back(a->first, b->first);
+        for (const std::size_t key : {a, b}) {
+          if (parent_[key] == kNone) {
+            parent_[key] = static_cast<std::uint32_t>(key);
+          }
+        }
+        const std::uint32_t ra = Find(static_cast<std::uint32_t>(a));
+        const std::uint32_t rb = Find(static_cast<std::uint32_t>(b));
+        if (ra != rb) parent_[ra] = rb;
       }
     }
   }
-  // Merge pairs sharing a key (union-find over fact keys).
-  std::map<FactKey, FactKey> parent;
-  std::function<FactKey(FactKey)> find = [&](FactKey x) -> FactKey {
-    auto it = parent.find(x);
-    if (it == parent.end() || it->second == x) return x;
-    const FactKey root = find(it->second);
-    parent[x] = root;
-    return root;
-  };
-  for (const auto& [a, b] : resonant_pairs) {
-    parent.try_emplace(a, a);
-    parent.try_emplace(b, b);
-    const FactKey ra = find(a);
-    const FactKey rb = find(b);
-    if (ra != rb) parent[ra] = rb;
+
+  // Groups: a group's first member in ascending key order is its smallest,
+  // so emitting members in that order yields sorted groups in sorted order.
+  members_.assign(keys, 0);
+  slot_.assign(keys, kNone);
+  std::size_t groups = 0;
+  for (std::uint32_t rank = 0; rank < keys; ++rank) {
+    if (parent_[rank] == kNone) continue;
+    if (members_[Find(rank)]++ == 0) ++groups;
   }
-  std::map<FactKey, std::vector<FactKey>> groups;
-  for (const auto& [key, p] : parent) groups[find(key)].push_back(key);
   std::vector<std::vector<FactKey>> out;
-  for (auto& [root, members] : groups) {
-    std::sort(members.begin(), members.end());
-    out.push_back(std::move(members));
+  out.reserve(groups);
+  for (std::uint32_t rank = 0; rank < keys; ++rank) {
+    if (parent_[rank] == kNone) continue;
+    const std::uint32_t root = Find(rank);
+    if (slot_[root] == kNone) {
+      slot_[root] = static_cast<std::uint32_t>(out.size());
+      out.emplace_back().reserve(members_[root]);
+    }
+    out[slot_[root]].push_back(keys_[rank]);
   }
-  std::sort(out.begin(), out.end());
-  holders_.clear();
+
+  for (const net::NodeId ship : ships_) columns_[ship] = kNone;
+  ships_.clear();
+  keys_.clear();
+  observed_.clear();
   return out;
 }
 

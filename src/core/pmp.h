@@ -12,7 +12,7 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/facts.h"
@@ -118,6 +118,12 @@ class VerticalWanderer {
 
 /// Network resonance: fact keys that co-occur on many ships within a window
 /// indicate an emergent correlation worth instantiating as a net function.
+///
+/// Each key observed in a window owns a row of holder bits over a dense
+/// column index of the window's ships, so the ships holding both keys of a
+/// pair are the popcount of the two rows ANDed. Every buffer persists
+/// across windows: once they have grown to a window's size, a window
+/// allocates only the groups DetectAndReset returns.
 class ResonanceDetector {
  public:
   struct Config {
@@ -132,13 +138,34 @@ class ResonanceDetector {
   void Observe(net::NodeId ship, FactKey key);
 
   /// Resonant groups: maximal merged sets of fact keys whose pairwise
-  /// co-occurrence meets the thresholds. Clears observations afterwards
-  /// (each pulse sees a fresh window).
+  /// co-occurrence meets the thresholds, each sorted, the groups in
+  /// ascending order. Clears observations afterwards (each pulse sees a
+  /// fresh window).
   std::vector<std::vector<FactKey>> DetectAndReset();
 
  private:
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
+  std::uint32_t Column(net::NodeId ship);
+  std::uint32_t Find(std::uint32_t rank);
+
   Config config_;
-  std::map<FactKey, std::set<net::NodeId>> holders_;
+  // This window's distinct keys in ascending order; a key's rank is its
+  // position here.
+  std::vector<FactKey> keys_;
+  // (key, column) per observation, in arrival order.
+  std::vector<std::pair<FactKey, std::uint32_t>> observed_;
+  // Column per ship id (kNone when unseen this window), and the seen ids.
+  std::vector<std::uint32_t> columns_;
+  std::vector<net::NodeId> ships_;
+  // DetectAndReset scratch, indexed by key rank: holder bits (one row of
+  // words per rank), holder counts, union-find parents (kNone: in no
+  // resonant pair), and per group root its member count and output slot.
+  std::vector<std::uint64_t> bits_;
+  std::vector<std::uint32_t> counts_;
+  std::vector<std::uint32_t> parent_;
+  std::vector<std::uint32_t> members_;
+  std::vector<std::uint32_t> slot_;
 };
 
 }  // namespace viator::wli

@@ -340,7 +340,8 @@ void WanderingNetwork::Pulse() {
   // 4. Network resonance: emergent functions from fact co-occurrence.
   if (config_.enable_resonance) {
     ForEachShip([&](Ship& s) {
-      for (FactKey key : s.facts().Keys()) resonance_.Observe(s.id(), key);
+      s.facts().ForEachKey(
+          [&](FactKey key) { resonance_.Observe(s.id(), key); });
     });
     for (const auto& group : resonance_.DetectAndReset()) {
       NetFunction fn;

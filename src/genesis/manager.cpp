@@ -39,15 +39,18 @@ bool GenesisManager::IsQuiescent() const {
   return quiescent;
 }
 
-std::vector<GenesisManager::BuiltSection> GenesisManager::BuildSections() {
-  std::vector<BuiltSection> sections;
+std::vector<SectionRecord> GenesisManager::BuildSections() {
+  std::vector<SectionRecord> sections;
+  sections.reserve(std::size(kSectionOrder) + extras_.size());
   for (std::uint32_t id : kSectionOrder) {
-    sections.push_back(BuiltSection{id, 1, SaveSection(id, network_)});
+    sections.push_back(SaveSection(id, network_));
   }
   for (const Snapshotable* extra : extras_) {
-    sections.push_back(
-        BuiltSection{extra->section_id(), extra->section_version(),
-                     extra->Save()});
+    std::vector<std::byte> payload = extra->Save();
+    const Digest digest = HashBytes(payload);
+    sections.push_back(SectionRecord{extra->section_id(),
+                                     extra->section_version(), digest,
+                                     std::move(payload)});
   }
   return sections;
 }
@@ -58,7 +61,7 @@ Result<std::vector<std::byte>> GenesisManager::Capture(SnapshotKind kind) {
         "capture requires a quiescent network (pending events or "
         "shuttles waiting for code)"));
   }
-  std::vector<BuiltSection> sections = BuildSections();
+  std::vector<SectionRecord> sections = BuildSections();
 
   SnapshotHeader header;
   header.kind = kind;
@@ -70,17 +73,15 @@ Result<std::vector<std::byte>> GenesisManager::Capture(SnapshotKind kind) {
 
   SnapshotBuilder builder(header);
   std::map<std::uint32_t, std::uint64_t> digests;
-  for (BuiltSection& section : sections) {
-    const std::uint64_t digest = HashBytes(section.payload);
-    digests[section.id] = digest;
+  for (SectionRecord& section : sections) {
+    digests[section.id] = section.digest;
     if (kind == SnapshotKind::kDelta) {
       const auto it = full_digests_.find(section.id);
-      if (it != full_digests_.end() && it->second == digest) {
+      if (it != full_digests_.end() && it->second == section.digest) {
         continue;  // unchanged since the base full snapshot
       }
     }
-    builder.AddSection(section.id, std::move(section.payload),
-                       section.version);
+    builder.AddSection(std::move(section));
   }
   ++captures_taken_;
   if (kind == SnapshotKind::kFull) {

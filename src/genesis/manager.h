@@ -86,14 +86,8 @@ class GenesisManager {
   std::uint64_t last_sequence() const { return sequence_; }
 
  private:
-  struct BuiltSection {
-    std::uint32_t id = 0;
-    std::uint32_t version = 1;
-    std::vector<std::byte> payload;
-  };
-
   /// Serializes every subsystem (and registered extras) in canonical order.
-  std::vector<BuiltSection> BuildSections();
+  std::vector<SectionRecord> BuildSections();
 
   Result<std::vector<std::byte>> Capture(SnapshotKind kind);
   void CheckpointTick(sim::TimePoint until);

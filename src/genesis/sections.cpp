@@ -313,21 +313,26 @@ struct OneSection {
 
 }  // namespace
 
-std::vector<std::byte> SaveSection(std::uint32_t id,
-                                   wli::WanderingNetwork& network) {
+SectionRecord SaveSection(std::uint32_t id, wli::WanderingNetwork& network) {
+  SectionRecord section;
+  section.id = id;
   switch (id) {
-    case kSectionClock: return SaveClock(network.simulator());
-    case kSectionStats: return SaveStats(network.stats());
-    case kSectionTrace: return SaveTrace(network.trace());
-    case kSectionMemPeaks: return SaveMemPeaks(network);
-    case kSectionLatency: return SaveLatency(network);
+    case kSectionClock: section.payload = SaveClock(network.simulator()); break;
+    case kSectionStats: section.payload = SaveStats(network.stats()); break;
+    case kSectionTrace: section.payload = SaveTrace(network.trace()); break;
+    case kSectionMemPeaks: section.payload = SaveMemPeaks(network); break;
+    case kSectionLatency: section.payload = SaveLatency(network); break;
     default: {
+      // The encoder's stream chain already is the payload's digest.
       TlvEncoder encoder;
-      OneSection<TlvEncoder> section{id, encoder};
-      network.VisitState(section);
-      return encoder.Finish();
+      OneSection<TlvEncoder> fields{id, encoder};
+      network.VisitState(fields);
+      section.payload = encoder.Finish(&section.digest);
+      return section;
     }
   }
+  section.digest = HashBytes(section.payload);
+  return section;
 }
 
 Status LoadSection(std::uint32_t id, std::span<const std::byte> payload,

@@ -20,6 +20,7 @@
 #include "base/status.h"
 #include "core/wandering_network.h"
 #include "genesis/section_ids.h"
+#include "genesis/snapshot.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
@@ -42,9 +43,8 @@ inline constexpr std::uint32_t kSectionOrder[] = {
     kSectionLatency,
 };
 
-/// The payload of built-in section `id` (a finished TLV stream).
-std::vector<std::byte> SaveSection(std::uint32_t id,
-                                   wli::WanderingNetwork& network);
+/// Built-in section `id`: its payload (a finished TLV stream) and digest.
+SectionRecord SaveSection(std::uint32_t id, wli::WanderingNetwork& network);
 
 /// Validates and applies the payload of built-in section `id`. Topology and
 /// ships require a network that has none yet.

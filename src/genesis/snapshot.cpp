@@ -99,35 +99,63 @@ std::string SectionName(std::uint32_t id) {
 void SnapshotBuilder::AddSection(std::uint32_t id,
                                  std::vector<std::byte> payload,
                                  std::uint32_t version) {
-  SectionRecord section;
-  section.id = id;
-  section.version = version;
-  section.digest = HashBytes(payload);
-  section.payload = std::move(payload);
+  const Digest digest = HashBytes(payload);
+  AddSection(SectionRecord{id, version, digest, std::move(payload)});
+}
+
+void SnapshotBuilder::AddSection(SectionRecord section) {
   mem_bytes_.Add(section.payload.capacity());
   sections_.push_back(std::move(section));
 }
 
 std::vector<std::byte> SnapshotBuilder::Finish() const {
-  TlvWriter writer;
-  writer.PutU64(kTagMagic, kSnapshotMagic);
-  writer.PutU32(kTagFormatVersion, header_.format_version);
-  writer.PutU32(kTagKind, static_cast<std::uint32_t>(header_.kind));
-  writer.PutU64(kTagSequence, header_.sequence);
-  writer.PutU64(kTagBaseSequence, header_.base_sequence);
-  writer.PutU64(kTagSnapTime, header_.snap_time);
-  writer.PutU64(kTagScenarioTag, header_.scenario_tag);
-  writer.PutU32(kTagSectionCount,
-                static_cast<std::uint32_t>(sections_.size()));
+  // A section record's body: id, version, digest and payload records, then
+  // its checksum trailer.
+  constexpr std::size_t kSectionFields =
+      3 * kTlvHeaderSize + 4 + 4 + 8 + kTlvHeaderSize;
+  std::size_t size = 3 * (kTlvHeaderSize + 4) + 5 * (kTlvHeaderSize + 8) +
+                     kTlvTrailerSize;
   for (const SectionRecord& section : sections_) {
-    TlvWriter inner;
-    inner.PutU32(kTagSectionId, section.id);
-    inner.PutU32(kTagSectionVersion, section.version);
-    inner.PutU64(kTagSectionDigest, section.digest);
-    inner.PutBytes(kTagSectionPayload, section.payload);
-    writer.PutNested(kTagSection, inner.Finish());
+    size += kTlvHeaderSize + kSectionFields + section.payload.size() +
+            kTlvTrailerSize;
   }
-  return writer.Finish();
+  std::vector<std::byte> out;
+  out.reserve(size);
+  AppendTlvWord(out, kTagMagic, kSnapshotMagic, 8);
+  AppendTlvWord(out, kTagFormatVersion, header_.format_version, 4);
+  AppendTlvWord(out, kTagKind, static_cast<std::uint32_t>(header_.kind), 4);
+  AppendTlvWord(out, kTagSequence, header_.sequence, 8);
+  AppendTlvWord(out, kTagBaseSequence, header_.base_sequence, 8);
+  AppendTlvWord(out, kTagSnapTime, header_.snap_time, 8);
+  AppendTlvWord(out, kTagScenarioTag, header_.scenario_tag, 8);
+  AppendTlvWord(out, kTagSectionCount, sections_.size(), 4);
+
+  // chains[0] is the section record's checksum, chains[1] the stream's;
+  // `hashed` is how far the stream chain has read.
+  Digest chains[2] = {0, kFnvOffsetBasis};
+  std::size_t hashed = 0;
+  for (const SectionRecord& section : sections_) {
+    AppendTlvHeader(out, kTagSection,
+                    static_cast<std::uint32_t>(kSectionFields +
+                                               section.payload.size() +
+                                               kTlvTrailerSize));
+    const std::size_t body = out.size();
+    chains[1] = HashCombine(chains[1],
+                            std::span(out).subspan(hashed, body - hashed));
+    AppendTlvWord(out, kTagSectionId, section.id, 4);
+    AppendTlvWord(out, kTagSectionVersion, section.version, 4);
+    AppendTlvWord(out, kTagSectionDigest, section.digest, 8);
+    AppendTlvHeader(out, kTagSectionPayload,
+                    static_cast<std::uint32_t>(section.payload.size()));
+    out.insert(out.end(), section.payload.begin(), section.payload.end());
+    chains[0] = kFnvOffsetBasis;
+    HashCombineEach(chains, std::span(out).subspan(body));
+    hashed = out.size();
+    AppendTlvWord(out, kTlvChecksumTag, chains[0], 8);
+  }
+  chains[1] = HashCombine(chains[1], std::span(out).subspan(hashed));
+  AppendTlvWord(out, kTlvChecksumTag, chains[1], 8);
+  return out;
 }
 
 const SectionRecord* ParsedSnapshot::Find(std::uint32_t id) const {
@@ -240,13 +268,10 @@ Result<std::vector<std::byte>> MergeDelta(std::span<const std::byte> base,
   SnapshotBuilder builder(merged);
   for (const SectionRecord& section : base_snap->sections) {
     const SectionRecord* replacement = delta_snap->Find(section.id);
-    const SectionRecord& chosen = replacement ? *replacement : section;
-    builder.AddSection(chosen.id, chosen.payload, chosen.version);
+    builder.AddSection(replacement ? *replacement : section);
   }
   for (const SectionRecord& section : delta_snap->sections) {
-    if (base_snap->Find(section.id) == nullptr) {
-      builder.AddSection(section.id, section.payload, section.version);
-    }
+    if (base_snap->Find(section.id) == nullptr) builder.AddSection(section);
   }
   return builder.Finish();
 }

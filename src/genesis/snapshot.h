@@ -70,6 +70,12 @@ class SnapshotBuilder {
   void AddSection(std::uint32_t id, std::vector<std::byte> payload,
                   std::uint32_t version = 1);
 
+  /// Adds a section whose digest is already HashBytes(payload).
+  void AddSection(SectionRecord section);
+
+  /// Writes every section record straight into one buffer. One two-chain
+  /// pass over each record fills its checksum trailer and carries the
+  /// stream's checksum on.
   std::vector<std::byte> Finish() const;
 
  private:

@@ -50,7 +50,9 @@ std::string Quoted(std::string_view text) {
 // the shapes are private to each format, so the scanners are too).
 std::optional<std::string> FindString(std::string_view line,
                                       std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":\"";
+  std::string pattern = "\"";
+  pattern += key;
+  pattern += "\":\"";
   const auto pos = line.find(pattern);
   if (pos == std::string_view::npos) return std::nullopt;
   std::size_t i = pos + pattern.size();
@@ -75,7 +77,9 @@ std::optional<std::string> FindString(std::string_view line,
 }
 
 std::optional<double> FindNumber(std::string_view line, std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
+  std::string pattern = "\"";
+  pattern += key;
+  pattern += "\":";
   const auto pos = line.find(pattern);
   if (pos == std::string_view::npos) return std::nullopt;
   const std::string rest(line.substr(pos + pattern.size()));
@@ -237,20 +241,28 @@ std::vector<std::string> CompareBenchMetrics(
     const std::map<std::string, double>& current,
     const BenchGateOptions& options) {
   std::vector<std::string> regressions;
-  const auto ignored = [&](const std::string& name) {
-    for (const std::string& sub : options.ignore_substrings) {
+  const auto named = [](const std::string& name,
+                        const std::vector<std::string>& substrings) {
+    for (const std::string& sub : substrings) {
       if (name.find(sub) != std::string::npos) return true;
     }
     return false;
   };
   for (const auto& [name, base] : baseline) {
-    if (ignored(name)) continue;
+    if (named(name, options.ignore_substrings)) continue;
     const auto it = current.find(name);
     if (it == current.end()) {
       regressions.push_back("metric " + name + " missing from current run");
       continue;
     }
     const double cur = it->second;
+    if (named(name, options.exact_substrings)) {
+      if (cur != base) {
+        regressions.push_back("fingerprint " + name + " changed " + Num(base) +
+                              " -> " + Num(cur) + " (compared exactly)");
+      }
+      continue;
+    }
     const double denom = std::max(std::fabs(base), 1e-12);
     const double drift = std::fabs(cur - base) / denom;
     if (drift > options.tolerance) {

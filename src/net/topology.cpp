@@ -49,14 +49,19 @@ std::optional<LinkId> Topology::FindLink(NodeId a, NodeId b) const {
 
 std::vector<NodeId> Topology::Neighbors(NodeId node) const {
   std::vector<NodeId> out;
-  if (!node_up_[node]) return out;
+  Neighbors(node, out);
+  return out;
+}
+
+void Topology::Neighbors(NodeId node, std::vector<NodeId>& out) const {
+  out.clear();
+  if (!node_up_[node]) return;
   for (LinkId id : incident_[node]) {
     const Link& l = links_[id];
     if (!l.up) continue;
     const NodeId other = l.a == node ? l.b : l.a;
     if (node_up_[other]) out.push_back(other);
   }
-  return out;
 }
 
 std::vector<LinkId> Topology::IncidentLinks(NodeId node) const {
@@ -357,23 +362,33 @@ const char* Topology::Reindex() {
 void PublishRouteCacheStats(sim::StatsRegistry& stats,
                             const Topology& topology,
                             std::string_view prefix) {
+  RouteCacheGauges(stats, prefix).Publish(topology);
+}
+
+void RouteCacheGauges::Publish(const Topology& topology) {
+  if (hits_ == nullptr) {
+    std::string name = prefix_;
+    const auto gauge = [&](std::string_view leaf) {
+      name.resize(prefix_.size());
+      name += '.';
+      name += leaf;
+      return &stats_.GetGauge(name);
+    };
+    hits_ = gauge("hits");
+    misses_ = gauge("misses");
+    invalidations_ = gauge("invalidations");
+    evictions_ = gauge("evictions");
+    hit_ratio_ = gauge("hit_ratio");
+  }
   const Topology::RouteCacheStats& cache = topology.route_cache_stats();
-  std::string name(prefix);
-  const std::size_t stem = name.size();
-  const auto set = [&](std::string_view leaf, double value) {
-    name.resize(stem);
-    name += '.';
-    name += leaf;
-    stats.GetGauge(name).Set(value);
-  };
-  set("hits", static_cast<double>(cache.hits));
-  set("misses", static_cast<double>(cache.misses));
-  set("invalidations", static_cast<double>(cache.invalidations));
-  set("evictions", static_cast<double>(cache.evictions));
+  hits_->Set(static_cast<double>(cache.hits));
+  misses_->Set(static_cast<double>(cache.misses));
+  invalidations_->Set(static_cast<double>(cache.invalidations));
+  evictions_->Set(static_cast<double>(cache.evictions));
   const std::uint64_t lookups = cache.hits + cache.misses;
-  set("hit_ratio", lookups == 0 ? 0.0
-                                : static_cast<double>(cache.hits) /
-                                      static_cast<double>(lookups));
+  hit_ratio_->Set(lookups == 0 ? 0.0
+                               : static_cast<double>(cache.hits) /
+                                     static_cast<double>(lookups));
 }
 
 Topology MakeLine(std::size_t n, const LinkConfig& config) {

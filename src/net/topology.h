@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -56,6 +57,7 @@
 #include "telemetry/mem_counters.h"
 
 namespace viator::sim {
+class Gauge;
 class StatsRegistry;
 }  // namespace viator::sim
 
@@ -106,6 +108,8 @@ class Topology {
 
   /// Up neighbors of `node` (only via up links, both endpoints up).
   std::vector<NodeId> Neighbors(NodeId node) const;
+  /// The same neighbors written into `out`, reusing its capacity.
+  void Neighbors(NodeId node, std::vector<NodeId>& out) const;
 
   /// All link ids incident to `node`.
   std::vector<LinkId> IncidentLinks(NodeId node) const;
@@ -267,6 +271,27 @@ class Topology {
 void PublishRouteCacheStats(sim::StatsRegistry& stats,
                             const Topology& topology,
                             std::string_view prefix = "net.route_cache");
+
+/// PublishRouteCacheStats for repeated flushes: the five gauges are looked
+/// up by name on the first Publish and written through cached pointers
+/// after that (StatsRegistry metrics keep their addresses for the
+/// registry's lifetime).
+class RouteCacheGauges {
+ public:
+  RouteCacheGauges(sim::StatsRegistry& stats, std::string_view prefix)
+      : stats_(stats), prefix_(prefix) {}
+
+  void Publish(const Topology& topology);
+
+ private:
+  sim::StatsRegistry& stats_;
+  std::string prefix_;
+  sim::Gauge* hits_ = nullptr;
+  sim::Gauge* misses_ = nullptr;
+  sim::Gauge* invalidations_ = nullptr;
+  sim::Gauge* evictions_ = nullptr;
+  sim::Gauge* hit_ratio_ = nullptr;
+};
 
 // ---- Generators -----------------------------------------------------------
 

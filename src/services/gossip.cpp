@@ -1,37 +1,36 @@
 #include "services/gossip.h"
 
-#include "core/knowledge.h"
-
 namespace viator::services {
 
 GossipService::GossipService(wli::WanderingNetwork& network,
                              const Config& config, Rng rng)
-    : network_(network), config_(config), rng_(rng) {}
+    : network_(network), config_(config), rng_(rng) {
+  kq_.function.id = 0;  // pure fact carriage, no function installation
+  kq_.function.name = "gossip";
+}
 
 void GossipService::RunRound() {
   ++rounds_;
   network_.ForEachShip([this](wli::Ship& ship) {
-    const auto strongest = ship.facts().TopByWeight(config_.facts_per_round);
-    if (strongest.empty()) return;
-    wli::KnowledgeQuantum kq;
-    kq.function.id = 0;  // pure fact carriage, no function installation
-    kq.function.name = "gossip";
-    for (const auto& fact : strongest) {
-      kq.facts.push_back({fact.key, fact.value, fact.weight});
+    ship.facts().TopByWeight(config_.facts_per_round, strongest_);
+    if (strongest_.empty()) return;
+    kq_.facts.clear();
+    for (const auto& fact : strongest_) {
+      kq_.facts.push_back({fact.key, fact.value, fact.weight});
     }
-    const auto genome = wli::EncodeKnowledgeQuantum(kq);
+    wli::EncodeKnowledgeQuantum(kq_, genome_);
 
-    auto neighbors = network_.topology().Neighbors(ship.id());
+    network_.topology().Neighbors(ship.id(), neighbors_);
     for (std::size_t pick = 0;
-         pick < config_.fanout && !neighbors.empty(); ++pick) {
-      const std::size_t index = rng_.Index(neighbors.size());
-      const net::NodeId peer = neighbors[index];
-      neighbors.erase(neighbors.begin() + index);  // without replacement
+         pick < config_.fanout && !neighbors_.empty(); ++pick) {
+      const std::size_t index = rng_.Index(neighbors_.size());
+      const net::NodeId peer = neighbors_[index];
+      neighbors_.erase(neighbors_.begin() + index);  // without replacement
       wli::Shuttle s;
       s.header.source = ship.id();
       s.header.destination = peer;
       s.header.kind = wli::ShuttleKind::kKnowledge;
-      s.genome = genome;
+      s.genome = genome_;
       ++shuttles_sent_;
       (void)ship.SendShuttle(std::move(s));
     }

@@ -9,9 +9,12 @@
 // the fact-survival mechanism of E7(c). Coverage(key) measures convergence.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "base/rng.h"
+#include "core/knowledge.h"
 #include "core/wandering_network.h"
 
 namespace viator::services {
@@ -45,6 +48,12 @@ class GossipService {
   Rng rng_;
   std::uint64_t rounds_ = 0;
   std::uint64_t shuttles_sent_ = 0;
+  // Per-ship scratch reused by every round: the strongest facts, the
+  // quantum carrying them and its encoding, and the neighbor sample.
+  std::vector<wli::Fact> strongest_;
+  wli::KnowledgeQuantum kq_;
+  std::vector<std::byte> genome_;
+  std::vector<net::NodeId> neighbors_;
 };
 
 }  // namespace viator::services

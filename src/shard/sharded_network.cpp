@@ -32,6 +32,12 @@ constexpr TlvTag kTagGenesisBlob = 0x11;
 /// order: the network borrows the topology and simulator, the genesis
 /// manager borrows the network.
 struct ShardedNetwork::ShardSlot {
+  ShardSlot(sim::StatsRegistry& stats, ShardId shard)
+      : metrics(stats, shard),
+        route_cache_metrics(stats,
+                            telemetry::ShardMetricName(shard, "route_cache")) {
+  }
+
   net::Topology topology;
   sim::Simulator simulator;
   std::unique_ptr<wli::WanderingNetwork> network;
@@ -52,6 +58,11 @@ struct ShardedNetwork::ShardSlot {
   /// delivery quantiles plus the worst-K tail exemplars wnscope's drill-down
   /// table resolves back to trace ids. Empty when the plane is off.
   telemetry::lat::Lane::WindowStats lat_window;
+
+  /// This shard's merge-layer metrics in the network's registry, published
+  /// at every barrier: the window sample and the route-cache gauges.
+  telemetry::ShardWindowPublisher metrics;
+  net::RouteCacheGauges route_cache_metrics;
 };
 
 ShardedNetwork::ShardedNetwork(const net::Topology& global,
@@ -83,7 +94,7 @@ ShardedNetwork::ShardedNetwork(const net::Topology& global,
 
   shards_.reserve(plan_.shard_count());
   for (ShardId shard = 0; shard < plan_.shard_count(); ++shard) {
-    auto slot = std::make_unique<ShardSlot>();
+    auto slot = std::make_unique<ShardSlot>(stats_, shard);
     if (populate) slot->topology = plan_.LocalTopology(global_, shard);
     slot->network = std::make_unique<wli::WanderingNetwork>(
         slot->simulator, slot->topology, config_.wn,
@@ -256,12 +267,10 @@ std::uint64_t ShardedNetwork::RunWindows(std::size_t count) {
           .lat_p95_ns = slot.lat_window.p95_ns,
           .lat_p99_ns = slot.lat_window.p99_ns,
           .lat_delivered = slot.lat_window.delivered};
-      telemetry::PublishShardWindow(stats_, shard, sample);
+      slot.metrics.Publish(sample);
       // Each shard's induced topology carries its own route cache; publish
       // its effectiveness under the shard's metric prefix.
-      net::PublishRouteCacheStats(
-          stats_, slot.topology,
-          telemetry::ShardMetricName(shard, "route_cache"));
+      slot.route_cache_metrics.Publish(slot.topology);
       record.shards[shard] = sample;
       unroutable_handoffs_ += slot.window_unroutable;
       slot.window_handoffs_out = 0;

@@ -41,7 +41,9 @@ std::string ShortestDouble(double v) {
 
 std::optional<std::string> FindStringField(std::string_view line,
                                            std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":\"";
+  std::string pattern = "\"";
+  pattern += key;
+  pattern += "\":\"";
   const auto pos = line.find(pattern);
   if (pos == std::string_view::npos) return std::nullopt;
   std::size_t i = pos + pattern.size();
@@ -74,7 +76,9 @@ std::optional<std::string> FindStringField(std::string_view line,
 
 std::optional<std::uint64_t> FindU64Field(std::string_view line,
                                           std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
+  std::string pattern = "\"";
+  pattern += key;
+  pattern += "\":";
   const auto pos = line.find(pattern);
   if (pos == std::string_view::npos) return std::nullopt;
   std::size_t i = pos + pattern.size();
@@ -91,7 +95,9 @@ std::optional<std::uint64_t> FindU64Field(std::string_view line,
 
 std::optional<double> FindDoubleField(std::string_view line,
                                       std::string_view key) {
-  const std::string pattern = "\"" + std::string(key) + "\":";
+  std::string pattern = "\"";
+  pattern += key;
+  pattern += "\":";
   const auto pos = line.find(pattern);
   if (pos == std::string_view::npos) return std::nullopt;
   const std::string rest(line.substr(pos + pattern.size()));

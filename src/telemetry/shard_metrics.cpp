@@ -14,31 +14,43 @@ std::string ShardMetricName(std::uint32_t shard, std::string_view metric) {
   return name;
 }
 
-void PublishShardWindow(sim::StatsRegistry& stats, std::uint32_t shard,
-                        const ShardWindowSample& sample) {
-  stats.GetCounter(ShardMetricName(shard, "dispatched")).Add(sample.dispatched);
-  stats.GetCounter(ShardMetricName(shard, "handoffs_out"))
-      .Add(sample.handoffs_out);
-  stats.GetCounter(ShardMetricName(shard, "handoffs_in"))
-      .Add(sample.handoffs_in);
-  stats.GetCounter(ShardMetricName(shard, "wall_ns")).Add(sample.wall_ns);
-  stats.GetCounter(ShardMetricName(shard, "stall_ns")).Add(sample.stall_ns);
-  stats.GetGauge(ShardMetricName(shard, "queue_depth")).Set(sample.queue_depth);
-  stats.GetGauge(ShardMetricName(shard, "pool_bytes"))
-      .Set(static_cast<double>(sample.pool_bytes));
+sim::Counter& ShardWindowPublisher::Counter(sim::Counter*& handle,
+                                            std::string_view metric) {
+  if (handle == nullptr) {
+    handle = &stats_.GetCounter(ShardMetricName(shard_, metric));
+  }
+  return *handle;
+}
+
+sim::Gauge& ShardWindowPublisher::Gauge(sim::Gauge*& handle,
+                                        std::string_view metric) {
+  if (handle == nullptr) {
+    handle = &stats_.GetGauge(ShardMetricName(shard_, metric));
+  }
+  return *handle;
+}
+
+void ShardWindowPublisher::Publish(const ShardWindowSample& sample) {
+  Counter(dispatched_, "dispatched").Add(sample.dispatched);
+  Counter(handoffs_out_, "handoffs_out").Add(sample.handoffs_out);
+  Counter(handoffs_in_, "handoffs_in").Add(sample.handoffs_in);
+  Counter(wall_ns_, "wall_ns").Add(sample.wall_ns);
+  Counter(stall_ns_, "stall_ns").Add(sample.stall_ns);
+  Gauge(queue_depth_, "queue_depth").Set(sample.queue_depth);
+  Gauge(pool_bytes_, "pool_bytes").Set(static_cast<double>(sample.pool_bytes));
   // Latency-plane fold: only publish when the window folded deliveries, so
   // runs with the plane off never grow the metric namespace.
   if (sample.lat_delivered != 0) {
-    stats.GetCounter(ShardMetricName(shard, "lat_delivered"))
-        .Add(sample.lat_delivered);
-    stats.GetGauge(ShardMetricName(shard, "lat_p50_ns"))
+    Counter(lat_delivered_, "lat_delivered").Add(sample.lat_delivered);
+    Gauge(lat_p50_ns_, "lat_p50_ns")
         .Set(static_cast<double>(sample.lat_p50_ns));
-    stats.GetGauge(ShardMetricName(shard, "lat_p95_ns"))
+    Gauge(lat_p95_ns_, "lat_p95_ns")
         .Set(static_cast<double>(sample.lat_p95_ns));
-    stats.GetGauge(ShardMetricName(shard, "lat_p99_ns"))
+    Gauge(lat_p99_ns_, "lat_p99_ns")
         .Set(static_cast<double>(sample.lat_p99_ns));
   }
 }
+
 
 ShardObservatory::ShardObservatory(std::size_t shard_count,
                                    std::size_t window_capacity)

@@ -64,12 +64,41 @@ struct ShardWindowSample {
 /// "shard.<id>.<metric>" (the dotted form exporters sanitize themselves).
 std::string ShardMetricName(std::uint32_t shard, std::string_view metric);
 
-/// Adds the sample into `stats`: counters shard.<id>.{dispatched,
+/// Adds one shard's samples into `stats`: counters shard.<id>.{dispatched,
 /// handoffs_out, handoffs_in, wall_ns, stall_ns, lat_delivered}, gauges
 /// shard.<id>.{queue_depth, pool_bytes, lat_p50_ns, lat_p95_ns, lat_p99_ns}
-/// (the lat gauges only when the sample folded deliveries).
-void PublishShardWindow(sim::StatsRegistry& stats, std::uint32_t shard,
-                        const ShardWindowSample& sample);
+/// (the lat metrics only once a sample folded deliveries).
+///
+/// Each metric is looked up by name once, when first published, and
+/// written through the cached pointer after that. The registry keeps every
+/// metric at a stable address for its lifetime, and a stats restore
+/// (genesis LoadStats) rewrites values in place, so the pointers stay valid
+/// across both.
+class ShardWindowPublisher {
+ public:
+  ShardWindowPublisher(sim::StatsRegistry& stats, std::uint32_t shard)
+      : stats_(stats), shard_(shard) {}
+
+  void Publish(const ShardWindowSample& sample);
+
+ private:
+  sim::Counter& Counter(sim::Counter*& handle, std::string_view metric);
+  sim::Gauge& Gauge(sim::Gauge*& handle, std::string_view metric);
+
+  sim::StatsRegistry& stats_;
+  std::uint32_t shard_;
+  sim::Counter* dispatched_ = nullptr;
+  sim::Counter* handoffs_out_ = nullptr;
+  sim::Counter* handoffs_in_ = nullptr;
+  sim::Counter* wall_ns_ = nullptr;
+  sim::Counter* stall_ns_ = nullptr;
+  sim::Counter* lat_delivered_ = nullptr;
+  sim::Gauge* queue_depth_ = nullptr;
+  sim::Gauge* pool_bytes_ = nullptr;
+  sim::Gauge* lat_p50_ns_ = nullptr;
+  sim::Gauge* lat_p95_ns_ = nullptr;
+  sim::Gauge* lat_p99_ns_ = nullptr;
+};
 
 /// One window as the observatory retains it.
 struct ShardWindowRecord {

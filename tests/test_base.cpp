@@ -685,5 +685,94 @@ TEST(Archive, HasherSeesEveryFieldAndIgnoresHashTableOrder) {
   EXPECT_NE(mix(forward), mix(backward));
 }
 
+TEST(Hash, CombineEachMatchesOneChainAtATime) {
+  Rng rng(11);
+  std::vector<std::byte> bytes(333);
+  for (std::byte& b : bytes) b = static_cast<std::byte>(rng.Index(256));
+  for (std::size_t count = 0; count <= 9; ++count) {
+    std::vector<Digest> chains(count);
+    for (Digest& chain : chains) chain = rng.UniformInt(0, ~0ULL);
+    std::vector<Digest> expected = chains;
+    for (Digest& chain : expected) chain = HashCombine(chain, bytes);
+    HashCombineEach(chains, bytes);
+    EXPECT_EQ(chains, expected) << count << " chains";
+  }
+}
+
+// A random record tree: scalar fields and nested records, in order.
+struct TreeNode {
+  struct Item {
+    TlvTag tag = 0;
+    int kind = 0;  // 0 u64, 1 u32, 2 string, 3 nested
+    std::uint64_t value = 0;
+    std::string text;
+    std::vector<TreeNode> child;  // one element when nested
+  };
+  std::vector<Item> items;
+};
+
+TreeNode RandomTree(Rng& rng, int depth) {
+  TreeNode node;
+  const std::size_t count = rng.Index(6);  // empty records too
+  for (std::size_t i = 0; i < count; ++i) {
+    TreeNode::Item item;
+    item.tag = static_cast<TlvTag>(1 + rng.Index(40));
+    item.kind = static_cast<int>(rng.Index(depth > 0 ? 5 : 3));
+    item.value = rng.UniformInt(0, ~0ULL);
+    item.text.assign(rng.Index(20), static_cast<char>('a' + rng.Index(26)));
+    if (item.kind >= 3) {
+      item.kind = 3;
+      item.child.push_back(RandomTree(rng, depth - 1));
+    }
+    node.items.push_back(std::move(item));
+  }
+  return node;
+}
+
+void EncodeTree(TlvEncoder& encoder, const TreeNode& node) {
+  for (const TreeNode::Item& item : node.items) {
+    switch (item.kind) {
+      case 0: encoder.U64(item.tag, item.value); break;
+      case 1: encoder.U32(item.tag, static_cast<std::uint32_t>(item.value));
+        break;
+      case 2: encoder.Str(item.tag, item.text); break;
+      default:
+        encoder.Nested(item.tag, [&](TlvEncoder& r) {
+          EncodeTree(r, item.child.front());
+        });
+    }
+  }
+}
+
+// The same tree through nested TlvWriter streams, each finished on its own.
+std::vector<std::byte> WriteTree(const TreeNode& node) {
+  TlvWriter writer;
+  for (const TreeNode::Item& item : node.items) {
+    switch (item.kind) {
+      case 0: writer.PutU64(item.tag, item.value); break;
+      case 1: writer.PutU32(item.tag, static_cast<std::uint32_t>(item.value));
+        break;
+      case 2: writer.PutString(item.tag, item.text); break;
+      default: writer.PutNested(item.tag, WriteTree(item.child.front()));
+    }
+  }
+  return writer.Finish();
+}
+
+TEST(Archive, OnePassChecksumsMatchNestedTlvWriterStreams) {
+  Rng rng(5);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Up to 9 levels: more open records than one hashing pass carries.
+    const TreeNode tree = RandomTree(rng, static_cast<int>(rng.Index(10)));
+    TlvEncoder encoder;
+    EncodeTree(encoder, tree);
+    Digest digest = 0;
+    const std::vector<std::byte> bytes = encoder.Finish(&digest);
+    ASSERT_EQ(bytes, WriteTree(tree)) << "trial " << trial;
+    EXPECT_EQ(digest, HashBytes(bytes)) << "trial " << trial;
+    EXPECT_TRUE(TlvReader(bytes).Verify().ok());
+  }
+}
+
 }  // namespace
 }  // namespace viator

@@ -565,5 +565,31 @@ TEST(BenchGate, ComparesMetricsWithToleranceAndIgnores) {
   EXPECT_NE(regressions[1].find("dispatch_count"), std::string::npos);
 }
 
+TEST(BenchGate, FingerprintsCompareExactly) {
+  // The state-hash redefinition moved BENCH_replay's digest52_3x3 by -0.14%:
+  // well inside the tolerance band, and still a different run.
+  health::BenchGateOptions options;
+  options.tolerance = 0.25;
+  const std::map<std::string, double> baseline = {
+      {"digest52_3x3", 2470794326736335.0},
+      {"window_hashes_3x3", 192.0},
+      {"state_fingerprint", 7.0},
+      {"decisions_3x3", 1000.0}};
+  std::map<std::string, double> current = baseline;
+  current["decisions_3x3"] = 1100.0;  // a count keeps its tolerance
+  EXPECT_TRUE(health::CompareBenchMetrics(baseline, current, options).empty());
+
+  current["digest52_3x3"] = 2467353365645856.0;
+  current["window_hashes_3x3"] = 193.0;
+  current["state_fingerprint"] = 7.5;
+  const auto regressions =
+      health::CompareBenchMetrics(baseline, current, options);
+  ASSERT_EQ(regressions.size(), 3u);
+  EXPECT_NE(regressions[0].find("digest52_3x3"), std::string::npos);
+  EXPECT_NE(regressions[0].find("2467353365645856"), std::string::npos);
+  EXPECT_NE(regressions[1].find("state_fingerprint"), std::string::npos);
+  EXPECT_NE(regressions[2].find("window_hashes_3x3"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace viator

@@ -2,6 +2,15 @@
 // and the overlay manager.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <map>
+#include <set>
+#include <utility>
+#include <vector>
+
+#include "base/rng.h"
+
 #include "core/dcp.h"
 #include "core/mfp.h"
 #include "core/overlay.h"
@@ -381,6 +390,93 @@ TEST(Pmp, ResonanceResetsBetweenWindows) {
   }
   EXPECT_FALSE(detector.DetectAndReset().empty());
   EXPECT_TRUE(detector.DetectAndReset().empty());  // window cleared
+}
+
+// The map/set detector the holder-bit rows replaced, kept as the reference:
+// every key pair compared by set lookups, pairs merged by union-find, groups
+// sorted.
+std::vector<std::vector<FactKey>> ReferenceResonance(
+    const std::vector<std::pair<net::NodeId, FactKey>>& observed,
+    const ResonanceDetector::Config& config) {
+  std::map<FactKey, std::set<net::NodeId>> holders;
+  for (const auto& [ship, key] : observed) holders[key].insert(ship);
+  std::vector<std::pair<FactKey, FactKey>> resonant_pairs;
+  for (auto a = holders.begin(); a != holders.end(); ++a) {
+    for (auto b = std::next(a); b != holders.end(); ++b) {
+      std::size_t both = 0;
+      for (net::NodeId ship : a->second) both += b->second.count(ship);
+      const std::size_t either = a->second.size() + b->second.size() - both;
+      if (both >= config.min_support && either > 0 &&
+          static_cast<double>(both) / static_cast<double>(either) >=
+              config.min_jaccard) {
+        resonant_pairs.emplace_back(a->first, b->first);
+      }
+    }
+  }
+  std::map<FactKey, FactKey> parent;
+  std::function<FactKey(FactKey)> find = [&](FactKey x) -> FactKey {
+    auto it = parent.find(x);
+    if (it == parent.end() || it->second == x) return x;
+    const FactKey root = find(it->second);
+    parent[x] = root;
+    return root;
+  };
+  for (const auto& [a, b] : resonant_pairs) {
+    parent.try_emplace(a, a);
+    parent.try_emplace(b, b);
+    const FactKey ra = find(a);
+    const FactKey rb = find(b);
+    if (ra != rb) parent[ra] = rb;
+  }
+  std::map<FactKey, std::vector<FactKey>> groups;
+  for (const auto& [key, p] : parent) groups[find(key)].push_back(key);
+  std::vector<std::vector<FactKey>> out;
+  for (auto& [root, members] : groups) {
+    std::sort(members.begin(), members.end());
+    out.push_back(std::move(members));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(Pmp, ResonanceMatchesMapSetReferenceOnRandomStreams) {
+  Rng rng(2024);
+  std::size_t groups_seen = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    ResonanceDetector::Config config;
+    config.min_support = 1 + rng.Index(6);
+    config.min_jaccard = rng.Uniform(0.1, 0.9);
+    // One detector across several windows, so reused buffers are covered.
+    ResonanceDetector detector(config);
+    for (int window = 0; window < 3; ++window) {
+      // Sparse ship ids (some above 64 and 128, so rows span words) and a
+      // small key pool, observed in random order with duplicates. Each ship
+      // holds a key with a per-key probability, so pairs correlate.
+      const std::size_t ships = 1 + rng.Index(150);
+      const std::size_t keys = 1 + rng.Index(24);
+      std::vector<double> share(keys);
+      for (double& p : share) p = rng.Uniform(0.0, 1.0);
+      std::vector<std::pair<net::NodeId, FactKey>> observed;
+      for (std::size_t s = 0; s < ships; ++s) {
+        const auto ship = static_cast<net::NodeId>(rng.Index(400));
+        for (std::size_t k = 0; k < keys; ++k) {
+          if (!rng.Bernoulli(share[k])) continue;
+          const FactKey key = 1000 + k * 7919;
+          observed.emplace_back(ship, key);
+          if (rng.Bernoulli(0.1)) observed.emplace_back(ship, key);
+        }
+      }
+      for (std::size_t i = observed.size(); i > 1; --i) {
+        std::swap(observed[i - 1], observed[rng.Index(i)]);
+      }
+      for (const auto& [ship, key] : observed) detector.Observe(ship, key);
+      const auto expected = ReferenceResonance(observed, config);
+      groups_seen += expected.size();
+      ASSERT_EQ(detector.DetectAndReset(), expected)
+          << "trial " << trial << " window " << window;
+    }
+  }
+  EXPECT_GT(groups_seen, 100u);  // the streams do produce resonance
 }
 
 // ---- Overlays ----

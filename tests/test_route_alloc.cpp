@@ -2,7 +2,8 @@
 // cache, adjacency and sweep scratch have reached their working size, refilling
 // a route row — whether LRU pressure evicted it or a structural change
 // staled it — performs no heap allocation at all. Also pins that hashing a
-// network's state (the per-window state hash) allocates nothing.
+// network's state (the per-window state hash) allocates nothing, and that a
+// warm resonance detector allocates only the groups it returns.
 //
 // This binary replaces the global operator new/delete family with counting
 // wrappers over malloc/free, so it stands alone: no other test shares the
@@ -161,6 +162,46 @@ TEST(StateHash, WarmNetworkAllocatesNothing) {
 
   EXPECT_EQ(allocs, 0u);
   EXPECT_EQ(hasher.digest(), warm.digest());
+}
+
+TEST(Resonance, WarmDetectorAllocatesOnlyTheGroupsItReturns) {
+  sim::Simulator simulator;
+  Topology topology = MakeGrid(10, 10);
+  wli::WanderingNetwork network(simulator, topology, wli::WnConfig{}, 7);
+  network.PopulateAllNodes();
+  // Two correlated key sets on overlapping ship ranges, plus one private
+  // key per ship: two resonant groups among 102 keys on 100 ships.
+  for (NodeId n = 0; n < topology.node_count(); ++n) {
+    wli::FactStore& facts = network.ship(n)->facts();
+    if (n < 60) {
+      facts.Touch(100, 1, 1.0, 0);
+      facts.Touch(200, 1, 1.0, 0);
+    }
+    if (n >= 40) {
+      for (wli::FactKey key : {300, 400, 500}) facts.Touch(key, 1, 1.0, 0);
+    }
+    facts.Touch(1000 + n, 1, 1.0, 0);
+  }
+  wli::ResonanceDetector detector;
+  // Fed the way WanderingNetwork::Pulse feeds it.
+  const auto window = [&] {
+    network.ForEachShip([&detector](wli::Ship& s) {
+      s.facts().ForEachKey(
+          [&](wli::FactKey key) { detector.Observe(s.id(), key); });
+    });
+    return detector.DetectAndReset();
+  };
+  const auto warm = window();
+
+  const std::uint64_t before = Allocs();
+  const auto groups = window();
+  const std::uint64_t allocs = Allocs() - before;
+
+  ASSERT_EQ(groups.size(), 2u);
+  EXPECT_EQ(groups[0], (std::vector<wli::FactKey>{100, 200}));
+  EXPECT_EQ(groups[1], (std::vector<wli::FactKey>{300, 400, 500}));
+  EXPECT_EQ(groups, warm);
+  EXPECT_EQ(allocs, 1 + groups.size());  // the outer vector and each group
 }
 
 }  // namespace

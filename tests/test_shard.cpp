@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "genesis/sections.h"
 #include "replay/auditor.h"
 #include "replay/journal.h"
 #include "replay/scenario.h"
@@ -417,6 +418,29 @@ TEST(ShardedNetwork, PublishesPerShardMergeMetrics) {
   EXPECT_TRUE(stats.gauges().contains("shard.count"));
 }
 
+TEST(ShardMetrics, PublisherHandlesSurviveStatsRestore) {
+  sim::StatsRegistry stats;
+  telemetry::ShardWindowPublisher publisher(stats, 3);
+  publisher.Publish({.dispatched = 4, .queue_depth = 2.0});
+  EXPECT_EQ(stats.CounterValue("shard.3.dispatched"), 4u);
+  EXPECT_FALSE(stats.gauges().contains("shard.3.lat_p50_ns"));
+
+  // A stats restore rewrites the registry's values in place; the handles
+  // resolved before it keep writing into the restored metrics.
+  sim::StatsRegistry saved;
+  saved.GetCounter("shard.3.dispatched").Add(10);
+  saved.GetGauge("shard.3.queue_depth").Set(9.0);
+  ASSERT_TRUE(genesis::LoadStats(genesis::SaveStats(saved), stats).ok());
+  EXPECT_EQ(stats.CounterValue("shard.3.dispatched"), 10u);
+  EXPECT_EQ(stats.gauges().at("shard.3.queue_depth").value(), 9.0);
+
+  publisher.Publish({.dispatched = 5, .queue_depth = 1.0, .lat_delivered = 2});
+  EXPECT_EQ(stats.CounterValue("shard.3.dispatched"), 15u);
+  EXPECT_EQ(stats.gauges().at("shard.3.queue_depth").value(), 1.0);
+  EXPECT_EQ(stats.CounterValue("shard.3.lat_delivered"), 2u);
+  EXPECT_TRUE(stats.gauges().contains("shard.3.lat_p50_ns"));
+}
+
 TEST(ShardMetrics, PrometheusExportMatchesGoldenFile) {
   // Per-shard metrics through the standard Prometheus exporter, pinned to a
   // committed golden: scrape configs depend on these exact names/headers.
@@ -424,26 +448,25 @@ TEST(ShardMetrics, PrometheusExportMatchesGoldenFile) {
   // Shard 0 folded deliveries this window, so its latency quantile gauges
   // appear; shard 1 did not, pinning the only-when-delivered contract (a
   // plane-off scrape never grows the namespace).
-  telemetry::PublishShardWindow(stats, 0,
-                                {.dispatched = 12,
-                                 .handoffs_out = 3,
-                                 .handoffs_in = 1,
-                                 .wall_ns = 1200,
-                                 .stall_ns = 450,
-                                 .queue_depth = 7.0,
-                                 .pool_bytes = 4096,
-                                 .lat_p50_ns = 250000,
-                                 .lat_p95_ns = 900000,
-                                 .lat_p99_ns = 1500000,
-                                 .lat_delivered = 9});
-  telemetry::PublishShardWindow(stats, 1,
-                                {.dispatched = 5,
-                                 .handoffs_out = 1,
-                                 .handoffs_in = 3,
-                                 .wall_ns = 1650,
-                                 .stall_ns = 0,
-                                 .queue_depth = 2.0,
-                                 .pool_bytes = 2048});
+  telemetry::ShardWindowPublisher(stats, 0).Publish(
+      {.dispatched = 12,
+       .handoffs_out = 3,
+       .handoffs_in = 1,
+       .wall_ns = 1200,
+       .stall_ns = 450,
+       .queue_depth = 7.0,
+       .pool_bytes = 4096,
+       .lat_p50_ns = 250000,
+       .lat_p95_ns = 900000,
+       .lat_p99_ns = 1500000,
+       .lat_delivered = 9});
+  telemetry::ShardWindowPublisher(stats, 1).Publish({.dispatched = 5,
+                                                     .handoffs_out = 1,
+                                                     .handoffs_in = 3,
+                                                     .wall_ns = 1650,
+                                                     .stall_ns = 0,
+                                                     .queue_depth = 2.0,
+                                                     .pool_bytes = 2048});
   stats.GetCounter("shard.windows").Add(2);
   // Memory-plane gauges under the same exporter: one domain with synthetic
   // traffic (the other domains pin their zero rows), plus fixed proc.*

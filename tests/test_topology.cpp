@@ -474,6 +474,24 @@ TEST(RouteCache, PublishesGaugesIntoRegistry) {
   EXPECT_EQ(stats.gauges().at("net.route_cache.hits").value(), 1.0);
 }
 
+TEST(RouteCache, CachedGaugeHandlesFollowTheCache) {
+  sim::StatsRegistry stats;
+  Topology t = MakeLine(4);
+  RouteCacheGauges gauges(stats, "shard.2.route_cache");
+  EXPECT_TRUE(stats.gauges().empty());  // nothing until the first publish
+  (void)t.NextHop(0, 3);
+  gauges.Publish(t);
+  EXPECT_EQ(stats.gauges().at("shard.2.route_cache.misses").value(), 1.0);
+  EXPECT_EQ(stats.gauges().at("shard.2.route_cache.hit_ratio").value(), 0.0);
+  (void)t.NextHop(1, 3);
+  (void)t.NextHop(2, 3);
+  gauges.Publish(t);
+  EXPECT_EQ(stats.gauges().size(), 5u);
+  EXPECT_EQ(stats.gauges().at("shard.2.route_cache.hits").value(), 2.0);
+  EXPECT_DOUBLE_EQ(stats.gauges().at("shard.2.route_cache.hit_ratio").value(),
+                   2.0 / 3.0);
+}
+
 TEST(RouteCache, DisabledCacheMatchesEnabled) {
   Rng rng(7);
   Topology cached = MakeRandom(12, 0.35, rng);
