@@ -376,7 +376,8 @@ void WanderingNetwork::Pulse() {
   // Route-cache effectiveness is deliberately NOT mirrored here: cache
   // temperature is an execution detail (a resumed snapshot starts cold), and
   // this registry is genesis-compared bit-for-bit. Call
-  // net::PublishRouteCacheStats(stats(), topology()) at report time instead;
+  // net::RouteCacheGauges(stats(), "net.route_cache").Publish(topology()) at
+  // report time instead;
   // the sharded merge layer publishes per-shard gauges itself.
 }
 

@@ -96,13 +96,6 @@ std::string SectionName(std::uint32_t id) {
   }
 }
 
-void SnapshotBuilder::AddSection(std::uint32_t id,
-                                 std::vector<std::byte> payload,
-                                 std::uint32_t version) {
-  const Digest digest = HashBytes(payload);
-  AddSection(SectionRecord{id, version, digest, std::move(payload)});
-}
-
 void SnapshotBuilder::AddSection(SectionRecord section) {
   mem_bytes_.Add(section.payload.capacity());
   sections_.push_back(std::move(section));

@@ -66,11 +66,9 @@ class SnapshotBuilder {
  public:
   explicit SnapshotBuilder(const SnapshotHeader& header) : header_(header) {}
 
-  /// Adds a section; the digest is computed over `payload`.
-  void AddSection(std::uint32_t id, std::vector<std::byte> payload,
-                  std::uint32_t version = 1);
-
-  /// Adds a section whose digest is already HashBytes(payload).
+  /// Adds a section. `section.digest` must already be
+  /// HashBytes(section.payload): SaveSection and ParseSnapshot both hand it
+  /// over, so no payload is hashed twice.
   void AddSection(SectionRecord section);
 
   /// Writes every section record straight into one buffer. One two-chain

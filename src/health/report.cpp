@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <set>
+#include <string_view>
 
 namespace viator::health {
 namespace {
@@ -93,6 +94,10 @@ std::optional<double> FindNumber(std::string_view line, std::string_view key) {
 std::uint64_t AsU64(std::optional<double> v) {
   return v ? static_cast<std::uint64_t>(*v) : 0;
 }
+
+/// Bench metrics named like fingerprints compare exactly.
+constexpr std::string_view kExactSubstrings[] = {"digest", "hash",
+                                                 "fingerprint"};
 
 }  // namespace
 
@@ -241,9 +246,8 @@ std::vector<std::string> CompareBenchMetrics(
     const std::map<std::string, double>& current,
     const BenchGateOptions& options) {
   std::vector<std::string> regressions;
-  const auto named = [](const std::string& name,
-                        const std::vector<std::string>& substrings) {
-    for (const std::string& sub : substrings) {
+  const auto named = [](const std::string& name, const auto& substrings) {
+    for (const auto& sub : substrings) {
       if (name.find(sub) != std::string::npos) return true;
     }
     return false;
@@ -256,7 +260,7 @@ std::vector<std::string> CompareBenchMetrics(
       continue;
     }
     const double cur = it->second;
-    if (named(name, options.exact_substrings)) {
+    if (named(name, kExactSubstrings)) {
       if (cur != base) {
         regressions.push_back("fingerprint " + name + " changed " + Num(base) +
                               " -> " + Num(cur) + " (compared exactly)");

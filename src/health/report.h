@@ -81,16 +81,13 @@ struct BenchGateOptions {
   /// wall-clock-derived values vary across machines and never gate.
   std::vector<std::string> ignore_substrings = {"wall", "per_sec", "mops",
                                                 "seconds", "speedup"};
-  /// Metrics whose name contains any of these substrings are fingerprints:
-  /// a digest that moves by any amount is a different run, so these compare
-  /// exactly, whatever the tolerance.
-  std::vector<std::string> exact_substrings = {"digest", "hash",
-                                               "fingerprint"};
 };
 
 /// Regressions of `current` against `baseline`: missing metrics, values
 /// drifting beyond the tolerance band and fingerprints that changed at all.
-/// Metrics only in `current` are new, not regressions.
+/// Metrics whose name contains "digest", "hash" or "fingerprint" compare
+/// exactly, whatever the tolerance: a digest that moves by any amount is a
+/// different run. Metrics only in `current` are new, not regressions.
 std::vector<std::string> CompareBenchMetrics(
     const std::map<std::string, double>& baseline,
     const std::map<std::string, double>& current,

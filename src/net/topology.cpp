@@ -359,12 +359,6 @@ const char* Topology::Reindex() {
 
 // ---- Generators -----------------------------------------------------------
 
-void PublishRouteCacheStats(sim::StatsRegistry& stats,
-                            const Topology& topology,
-                            std::string_view prefix) {
-  RouteCacheGauges(stats, prefix).Publish(topology);
-}
-
 void RouteCacheGauges::Publish(const Topology& topology) {
   if (hits_ == nullptr) {
     std::string name = prefix_;

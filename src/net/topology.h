@@ -263,18 +263,13 @@ class Topology {
   mutable std::vector<std::uint32_t> dist_;  // hop distance from the start
 };
 
-/// Mirrors `topology`'s route-cache counters into `stats` as gauges:
+/// Mirrors a topology's route-cache counters into `stats` as gauges:
 /// `<prefix>.hits`, `.misses`, `.invalidations`, `.evictions` and
 /// `.hit_ratio` (hits / lookups, 0 when the cache is cold). Gauges are Set,
-/// not accumulated, so the call is idempotent — invoke it from any telemetry
-/// flush point (network pulse, shard window barrier).
-void PublishRouteCacheStats(sim::StatsRegistry& stats,
-                            const Topology& topology,
-                            std::string_view prefix = "net.route_cache");
-
-/// PublishRouteCacheStats for repeated flushes: the five gauges are looked
-/// up by name on the first Publish and written through cached pointers
-/// after that (StatsRegistry metrics keep their addresses for the
+/// not accumulated, so Publish is idempotent — call it from any telemetry
+/// flush point (report time, shard window barrier). The five gauges are
+/// looked up by name on the first Publish and written through cached
+/// pointers after that (StatsRegistry metrics keep their addresses for the
 /// registry's lifetime).
 class RouteCacheGauges {
  public:

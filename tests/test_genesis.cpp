@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "base/hash.h"
 #include "core/genetic_transcoder.h"
 #include "core/wandering_network.h"
 #include "genesis/adapters.h"
@@ -456,7 +457,9 @@ TEST(GenesisValidation, FormatVersionMismatchIsRejected) {
   genesis::SnapshotHeader header;
   header.format_version = 99;
   genesis::SnapshotBuilder builder(header);
-  builder.AddSection(genesis::kSectionClock, {});
+  builder.AddSection(genesis::SectionRecord{.id = genesis::kSectionClock,
+                                            .digest = HashBytes({}),
+                                            .payload = {}});
   const std::vector<std::byte> bytes = builder.Finish();
   Status status = genesis::VerifySnapshot(bytes);
   EXPECT_FALSE(status.ok());

@@ -488,8 +488,8 @@ TEST(ShardMetrics, PrometheusExportMatchesGoldenFile) {
   net::Topology line = net::MakeLine(4);
   ASSERT_EQ(line.NextHop(0, 3), 1u);
   ASSERT_EQ(line.NextHop(0, 2), 1u);
-  net::PublishRouteCacheStats(stats, line,
-                              telemetry::ShardMetricName(0, "route_cache"));
+  net::RouteCacheGauges(stats, telemetry::ShardMetricName(0, "route_cache"))
+      .Publish(line);
   std::ostringstream out;
   telemetry::WritePrometheusText(stats, out);
 

@@ -463,14 +463,15 @@ TEST(RouteCache, PublishesGaugesIntoRegistry) {
   Topology t = MakeLine(4);
   (void)t.NextHop(0, 3);  // fills destination 3's row
   (void)t.NextHop(1, 3);  // served from it
-  PublishRouteCacheStats(stats, t);
+  RouteCacheGauges gauges(stats, "net.route_cache");
+  gauges.Publish(t);
   EXPECT_EQ(stats.gauges().at("net.route_cache.hits").value(), 1.0);
   EXPECT_EQ(stats.gauges().at("net.route_cache.misses").value(), 1.0);
   EXPECT_EQ(stats.gauges().at("net.route_cache.hit_ratio").value(), 0.5);
   EXPECT_EQ(stats.gauges().at("net.route_cache.invalidations").value(), 0.0);
   EXPECT_EQ(stats.gauges().at("net.route_cache.evictions").value(), 0.0);
   // Idempotent: publishing again overwrites, never accumulates.
-  PublishRouteCacheStats(stats, t);
+  gauges.Publish(t);
   EXPECT_EQ(stats.gauges().at("net.route_cache.hits").value(), 1.0);
 }
 
