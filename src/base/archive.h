@@ -27,6 +27,22 @@
 //    A collection mixes its size first; an Unordered collection (a hash
 //    table) is mixed as a multiset, so its iteration order does not count.
 //
+// Two field-list forms let a component keep the digest of part of its state
+// current instead of having it re-walked on every hash:
+//
+//  * Memo(memo, stamp, fn): the field list `fn` is mixed as one word, the
+//    digest of `fn` walked into a fresh Hasher. The owner stamps the memo
+//    (a generation, or 0 with Invalidate() as a dirty mark); the hasher
+//    re-walks `fn` only when the stamp moved.
+//  * Multiset(tag, items, kept, fn): a map mixed like Unordered (size, then
+//    the wrapping sum of element digests), with the sum read from a
+//    MultisetDigest the owner updates element by element.
+//
+// Both only memoize: the encoder and the decoder walk `fn` exactly as if it
+// were written inline (the decoder then marks the kept digest stale), and a
+// StateHasher made with `bypass_caches` walks everything and writes no
+// cache, so it is the oracle a cached digest must equal.
+//
 // `A::kLoading` is true for the decoder only. A Visit branches on it where a
 // restore must do more than assign fields: re-create owned objects through
 // their constructors, rebuild derived indexes, validate.
@@ -54,6 +70,17 @@ namespace viator {
 /// branches inside generic per-element lambdas.
 template <class A>
 inline constexpr bool kLoadingArchive = std::remove_cvref_t<A>::kLoading;
+
+/// A component's memoized digest of one field list (Memo above). Valid
+/// while `stamp` equals the stamp the owner hands to Memo.
+struct DigestMemo {
+  static constexpr std::uint64_t kStale = ~std::uint64_t{0};
+  Digest digest = 0;
+  std::uint64_t stamp = kStale;
+  void Invalidate() { stamp = kStale; }
+};
+
+class MultisetDigest;
 
 namespace archive_internal {
 
@@ -127,6 +154,16 @@ class TlvEncoder {
     for (auto* item : order) {
       Nested(tag, [&](TlvEncoder& r) { fn(r, *item); });
     }
+  }
+  /// Elements in iteration order (`items` is an ordered map).
+  template <class Range, class Fn>
+  void Multiset(TlvTag tag, Range&& items, MultisetDigest& /*kept*/,
+                Fn&& fn) {
+    Each(tag, items, fn);
+  }
+  template <class Fn>
+  void Memo(DigestMemo& /*memo*/, std::uint64_t /*stamp*/, Fn&& fn) {
+    fn(*this);
   }
   template <class Range>
   void U64s(TlvTag tag, const Range& values) {
@@ -256,6 +293,15 @@ class TlvDecoder {
       if (r.ok()) items[key(element)] = std::move(element.second);
     });
   }
+  /// Like Each; `kept` then goes stale.
+  template <class C, class Fn>
+  void Multiset(TlvTag tag, C& items, MultisetDigest& kept, Fn&& fn);
+  /// Reads the fields and marks the memo stale.
+  template <class Fn>
+  void Memo(DigestMemo& memo, std::uint64_t /*stamp*/, Fn&& fn) {
+    fn(*this);
+    memo.Invalidate();
+  }
   template <class V>
   void U64s(TlvTag tag, V& values) {
     Values(tag, 8, values);
@@ -333,12 +379,15 @@ class TlvDecoder {
   Status status_;
 };
 
-/// Mixes fields into a Hasher without allocating.
+/// Mixes fields into a Hasher without allocating. With `bypass_caches` it
+/// walks every Memo and Multiset in full and updates no memo: the uncached
+/// oracle of the same digest.
 class StateHasher {
  public:
   static constexpr bool kLoading = false;
 
-  explicit StateHasher(Hasher& hasher) : hasher_(hasher) {}
+  explicit StateHasher(Hasher& hasher, bool bypass_caches = false)
+      : hasher_(hasher), bypass_caches_(bypass_caches) {}
 
   template <class T>
   void U64(TlvTag, const T& value) {
@@ -369,14 +418,26 @@ class StateHasher {
   template <class Range, class Key, class Fn>
   void Unordered(TlvTag, Range&& items, Key&&, Fn&& fn) {
     std::uint64_t sum = 0;
-    for (auto& item : items) {
-      Hasher element;
-      StateHasher archive(element);
-      fn(archive, item);
-      sum += element.digest();
-    }
+    for (auto& item : items) sum += DigestOf(fn, item);
     hasher_.Mix(static_cast<std::uint64_t>(std::size(items)));
     hasher_.Mix(sum);
+  }
+  /// Unordered's digest, with the sum taken from `kept`.
+  template <class Range, class Fn>
+  void Multiset(TlvTag tag, Range&& items, MultisetDigest& kept, Fn&& fn);
+  /// The digest of `fn`'s fields, walked into a fresh Hasher unless the memo
+  /// holds it for `stamp`.
+  template <class Fn>
+  void Memo(DigestMemo& memo, std::uint64_t stamp, Fn&& fn) {
+    if (bypass_caches_) {
+      hasher_.Mix(DigestOf(fn));
+      return;
+    }
+    if (memo.stamp != stamp) {
+      memo.digest = DigestOf(fn);
+      memo.stamp = stamp;
+    }
+    hasher_.Mix(memo.digest);
   }
   template <class Range>
   void U64s(TlvTag, const Range& values) {
@@ -417,8 +478,79 @@ class StateHasher {
   }
 
  private:
+  // The digest of fn(archive, args...) walked into a fresh Hasher by an
+  // archive with this one's cache mode.
+  template <class Fn, class... Args>
+  Digest DigestOf(Fn& fn, Args&... args) const {
+    Hasher part;
+    StateHasher archive(part, bypass_caches_);
+    fn(archive, args...);
+    return part.digest();
+  }
+
   Hasher& hasher_;
+  bool bypass_caches_;
 };
+
+/// The running digest of a map that Visit lists with Multiset: the wrapping
+/// sum of its elements' digests, so one element's change costs two element
+/// digests instead of a walk of the whole map. The owner calls Remove
+/// before an element changes or leaves and Add once it has its new value;
+/// when many elements change at once (a decay) it calls Invalidate, and the
+/// next hash recomputes the sum.
+class MultisetDigest {
+ public:
+  template <class Fn, class E>
+  void Add(Fn&& fn, const E& element) {
+    if (!stale_) sum_ += ElementDigest(fn, element);
+  }
+  template <class Fn, class E>
+  void Remove(Fn&& fn, const E& element) {
+    if (!stale_) sum_ -= ElementDigest(fn, element);
+  }
+  void Invalidate() { stale_ = true; }
+
+  /// The sum over `items`, the owner's map, recomputed first when stale.
+  template <class Range, class Fn>
+  std::uint64_t Sum(const Range& items, Fn& fn) {
+    if (stale_) {
+      sum_ = 0;
+      for (const auto& item : items) sum_ += ElementDigest(fn, item);
+      stale_ = false;
+    }
+    return sum_;
+  }
+
+ private:
+  template <class Fn, class E>
+  static Digest ElementDigest(Fn& fn, const E& element) {
+    Hasher hasher;
+    StateHasher archive(hasher);
+    fn(archive, element);
+    return hasher.digest();
+  }
+
+  std::uint64_t sum_ = 0;
+  bool stale_ = false;
+};
+
+template <class C, class Fn>
+void TlvDecoder::Multiset(TlvTag tag, C& items, MultisetDigest& kept,
+                          Fn&& fn) {
+  Each(tag, items, fn);
+  kept.Invalidate();
+}
+
+template <class Range, class Fn>
+void StateHasher::Multiset(TlvTag tag, Range&& items, MultisetDigest& kept,
+                           Fn&& fn) {
+  if (bypass_caches_) {
+    Unordered(tag, items, nullptr, fn);
+    return;
+  }
+  hasher_.Mix(static_cast<std::uint64_t>(std::size(items)));
+  hasher_.Mix(kept.Sum(items, fn));
+}
 
 /// A finished TLV stream of `object`'s fields (object.Visit).
 template <class T>

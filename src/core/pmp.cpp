@@ -7,7 +7,10 @@ namespace viator::wli {
 
 void DemandTracker::Record(net::NodeId node, node::FirstLevelRole role,
                            double amount) {
-  demand_[{node, role}] += amount;
+  auto [it, inserted] = demand_.try_emplace(Key{node, role}, 0.0);
+  if (!inserted) demand_digest_.Remove(kEntryFields, *it);
+  it->second += amount;
+  demand_digest_.Add(kEntryFields, *it);
 }
 
 void DemandTracker::Decay() {
@@ -19,6 +22,7 @@ void DemandTracker::Decay() {
       ++it;
     }
   }
+  demand_digest_.Invalidate();
 }
 
 double DemandTracker::DemandAt(net::NodeId node,

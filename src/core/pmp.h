@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "base/archive.h"
 #include "core/facts.h"
 #include "core/knowledge.h"
 #include "net/types.h"
@@ -42,21 +43,25 @@ class DemandTracker {
 
   using Key = std::pair<net::NodeId, node::FirstLevelRole>;
 
-  /// Snapshot fields (base/archive.h): demand per (node, role).
+  /// Snapshot fields (base/archive.h): demand per (node, role), hashed as
+  /// a multiset whose digest is kept current.
   template <class A>
   void Visit(A& a) {
-    a.Each(0x01, demand_, [](auto& r, auto& entry) {
-      r.U64(0x01, entry.first.first);
-      r.Enum(0x02, entry.first.second,
-             static_cast<std::uint32_t>(node::FirstLevelRole::kRoleCount),
-             "first-level role out of range");
-      r.F64(0x03, entry.second);
-    });
+    a.Multiset(0x01, demand_, demand_digest_, kEntryFields);
   }
 
  private:
+  static constexpr auto kEntryFields = [](auto& r, auto& entry) {
+    r.U64(0x01, entry.first.first);
+    r.Enum(0x02, entry.first.second,
+           static_cast<std::uint32_t>(node::FirstLevelRole::kRoleCount),
+           "first-level role out of range");
+    r.F64(0x03, entry.second);
+  };
+
   double decay_;
   std::map<Key, double> demand_;
+  MultisetDigest demand_digest_;
 };
 
 /// Horizontal (inter-node) wandering policy: move a function from its host

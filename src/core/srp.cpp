@@ -38,7 +38,10 @@ std::size_t ReputationSystem::excluded_count() const {
 void ClusterManager::ObserveInteraction(net::NodeId a, net::NodeId b,
                                         double strength) {
   if (a == b) return;
-  affinity_[Canonical(a, b)] += strength;
+  auto [it, inserted] = affinity_.try_emplace(Canonical(a, b), 0.0);
+  if (!inserted) affinity_digest_.Remove(kAffinityFields, *it);
+  it->second += strength;
+  affinity_digest_.Add(kAffinityFields, *it);
 }
 
 void ClusterManager::Decay() {
@@ -50,6 +53,7 @@ void ClusterManager::Decay() {
       ++it;
     }
   }
+  affinity_digest_.Invalidate();
 }
 
 double ClusterManager::AffinityBetween(net::NodeId a, net::NodeId b) const {

@@ -17,6 +17,7 @@
 #include <map>
 #include <vector>
 
+#include "base/archive.h"
 #include "base/hash.h"
 #include "net/types.h"
 #include "node/profile.h"
@@ -104,22 +105,26 @@ class ClusterManager {
 
   using Pair = std::pair<net::NodeId, net::NodeId>;
 
-  /// Snapshot fields (base/archive.h): every pairwise affinity.
+  /// Snapshot fields (base/archive.h): every pairwise affinity, hashed as
+  /// a multiset whose digest is kept current.
   template <class A>
   void Visit(A& a) {
-    a.Each(0x01, affinity_, [](auto& r, auto& affinity) {
-      r.U64(0x01, affinity.first.first);
-      r.U64(0x02, affinity.first.second);
-      r.F64(0x03, affinity.second);
-    });
+    a.Multiset(0x01, affinity_, affinity_digest_, kAffinityFields);
   }
 
  private:
+  static constexpr auto kAffinityFields = [](auto& r, auto& affinity) {
+    r.U64(0x01, affinity.first.first);
+    r.U64(0x02, affinity.first.second);
+    r.F64(0x03, affinity.second);
+  };
+
   static Pair Canonical(net::NodeId a, net::NodeId b) {
     return a < b ? Pair{a, b} : Pair{b, a};
   }
   double decay_;
   std::map<Pair, double> affinity_;
+  MultisetDigest affinity_digest_;
 };
 
 }  // namespace viator::wli

@@ -45,7 +45,10 @@ WanderingNetwork::WanderingNetwork(sim::Simulator& simulator,
 }
 
 Ship& WanderingNetwork::AddShip(net::NodeId node, node::ShipClass ship_class) {
-  if (ships_.size() <= node) ships_.resize(node + 1);
+  if (ships_.size() <= node) {
+    ships_.resize(node + 1);
+    ship_digests_.resize(node + 1);
+  }
   if (!ships_[node]) {
     ships_[node] = std::make_unique<Ship>(
         *this, node, ship_class, config_.quota,
@@ -55,11 +58,11 @@ Ship& WanderingNetwork::AddShip(net::NodeId node, node::ShipClass ship_class) {
       // The frame is ours to consume: moving the shuttle out of the payload
       // saves a deep copy (code image + payload + genome) on every hop.
       if (auto* shuttle = std::any_cast<Shuttle>(&frame.payload)) {
-        ships_[node]->Receive(std::move(*shuttle), frame.from);
+        Touch(node)->Receive(std::move(*shuttle), frame.from);
       }
     });
   }
-  return *ships_[node];
+  return *Touch(node);
 }
 
 void WanderingNetwork::PopulateAllNodes() {
@@ -68,17 +71,13 @@ void WanderingNetwork::PopulateAllNodes() {
   }
 }
 
-Ship* WanderingNetwork::ship(net::NodeId node) {
-  return node < ships_.size() ? ships_[node].get() : nullptr;
-}
-
 const Ship* WanderingNetwork::ship(net::NodeId node) const {
   return node < ships_.size() ? ships_[node].get() : nullptr;
 }
 
 void WanderingNetwork::ForEachShip(const std::function<void(Ship&)>& fn) {
-  for (auto& ship : ships_) {
-    if (ship) fn(*ship);
+  for (net::NodeId n = 0; n < ships_.size(); ++n) {
+    if (Ship* s = Touch(n)) fn(*s);
   }
 }
 
@@ -119,7 +118,7 @@ Status WanderingNetwork::Inject(Shuttle shuttle) {
   // starts (self-deliveries included; Receive closes them immediately).
   VIATOR_LAT_BIRTH(&lat_lane_, shuttle, simulator_.now());
   if (shuttle.header.destination == src) {
-    ships_[src]->Receive(std::move(shuttle), src);
+    Touch(src)->Receive(std::move(shuttle), src);
     return OkStatus();
   }
   shuttles_injected_.Add();
@@ -133,7 +132,7 @@ Status WanderingNetwork::Dispatch(net::NodeId at, Shuttle shuttle) {
   // start their clock here; re-dispatched flights (lat_id set) are no-ops.
   VIATOR_LAT_BIRTH(&lat_lane_, shuttle, simulator_.now());
   if (dst == at) {
-    if (ships_[at]) ships_[at]->Receive(std::move(shuttle), at);
+    if (Ship* here = Touch(at)) here->Receive(std::move(shuttle), at);
     return OkStatus();
   }
   // SRP community enforcement: excluded ships get no service. Probes are
@@ -395,7 +394,13 @@ void WanderingNetwork::StartPulse(sim::TimePoint until) {
 
 void WanderingNetwork::MixDigest(Hasher& hasher) const {
   StateHasher archive(hasher);
-  // VisitState only reads through a non-loading archive.
+  // VisitState only reads through a non-loading archive; the hasher writes
+  // only the memos.
+  const_cast<WanderingNetwork*>(this)->VisitState(archive);
+}
+
+void WanderingNetwork::MixDigestUncached(Hasher& hasher) const {
+  StateHasher archive(hasher, /*bypass_caches=*/true);
   const_cast<WanderingNetwork*>(this)->VisitState(archive);
 }
 

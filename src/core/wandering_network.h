@@ -95,10 +95,11 @@ class WanderingNetwork {
   /// Creates one server ship per topology node.
   void PopulateAllNodes();
 
-  Ship* ship(net::NodeId node);
+  /// Non-const access marks the ship's cached digest stale (MixDigest).
+  Ship* ship(net::NodeId node) { return Touch(node); }
   const Ship* ship(net::NodeId node) const;
   std::size_t ship_count() const { return ship_count_; }
-  /// Iterates ships in node order.
+  /// Iterates ships in node order, marking each one's digest stale.
   void ForEachShip(const std::function<void(Ship&)>& fn);
 
   // ---- Code distribution ----
@@ -185,7 +186,20 @@ class WanderingNetwork {
   /// rolling state digest (flight-recorder window hashes, shard hashes).
   /// The simulator clock, stats, trace and telemetry stay out, so runs that
   /// differ only in observation probes stay comparable. Allocates nothing.
+  ///
+  /// Memoized: the ships section mixes the ordered list of per-ship
+  /// digests and re-walks only the ships touched since the last hash (every
+  /// non-const route to a ship marks it); clusters and demand mix the
+  /// running multiset digests their owners keep; the topology section is
+  /// cached against Topology::generation(). The caches only memoize: the
+  /// result is a pure function of the decision state and always equals
+  /// MixDigestUncached. Like the rest of the network, the caches are
+  /// written only by the thread that runs it.
   void MixDigest(Hasher& hasher) const;
+
+  /// The same digest walked in full, bypassing and leaving every cache:
+  /// the oracle MixDigest is tested against.
+  void MixDigestUncached(Hasher& hasher) const;
 
   /// The decision state as genesis snapshot sections, in capture order:
   /// `a.Part(section, fields)` hands each section's field list
@@ -247,6 +261,14 @@ class WanderingNetwork {
   template <class A>
   void VisitShips(A& a);
 
+  // The one non-const route to a ship: marks its cached digest stale and
+  // returns it (null when there is none).
+  Ship* Touch(net::NodeId node) {
+    if (node >= ships_.size() || !ships_[node]) return nullptr;
+    ship_digests_[node].Invalidate();
+    return ships_[node].get();
+  }
+
   void ExecuteMigrations();
   net::NodeId FirstShipNode() const;
 
@@ -268,6 +290,10 @@ class WanderingNetwork {
 
   std::vector<std::unique_ptr<Ship>> ships_;  // indexed by NodeId
   std::size_t ship_count_ = 0;
+  // MixDigest's memos: one digest per ship (indexed by NodeId, stamp 0 when
+  // current) and the topology section's (stamped with its generation).
+  std::vector<DigestMemo> ship_digests_;
+  DigestMemo topology_digest_;
   ShuttlePool shuttle_pool_;
 
   vm::CodeRepository repository_;
@@ -301,7 +327,10 @@ class WanderingNetwork {
 template <class A>
 void WanderingNetwork::VisitState(A& a) {
   using namespace genesis;  // section ids
-  a.Part(kSectionTopology, [this](auto& s) { topology_.Visit(s); });
+  a.Part(kSectionTopology, [this](auto& s) {
+    s.Memo(topology_digest_, topology_.generation(),
+           [this](auto& r) { topology_.Visit(r); });
+  });
   a.Part(kSectionRepository, [this](auto& s) {
     repository_.Visit(s);
     s.Each(0x02, origins_, [](auto& r, auto& origin) {
@@ -374,7 +403,10 @@ void WanderingNetwork::VisitShips(A& a) {
   } else {
     auto live = [](const auto& ship) { return ship != nullptr; };
     a.Each(0x01, ships_ | std::views::filter(live),
-           [](auto& r, auto& ship) { ship->Visit(r); });
+           [this](auto& r, auto& ship) {
+             r.Memo(ship_digests_[ship->id()], 0,
+                    [&](auto& f) { ship->Visit(f); });
+           });
   }
 }
 

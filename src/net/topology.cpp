@@ -1,6 +1,7 @@
 #include "net/topology.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <deque>
@@ -11,12 +12,17 @@
 
 namespace viator::net {
 
+std::uint64_t Topology::NextGeneration() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1);
+}
+
 NodeId Topology::AddNodes(std::size_t count) {
   const NodeId first = static_cast<NodeId>(node_count_);
   node_count_ += count;
   incident_.resize(node_count_);
   node_up_.resize(node_count_, true);
-  if (count != 0) ++generation_;
+  if (count != 0) generation_ = NextGeneration();
   return first;
 }
 
@@ -26,14 +32,14 @@ LinkId Topology::AddLink(NodeId a, NodeId b, const LinkConfig& config) {
   links_.push_back(Link{a, b, config, true});
   incident_[a].push_back(id);
   incident_[b].push_back(id);
-  ++generation_;
+  generation_ = NextGeneration();
   return id;
 }
 
 void Topology::SetNodeUp(NodeId node, bool up) {
   if (node_up_[node] != up) {
     node_up_[node] = up;
-    ++generation_;
+    generation_ = NextGeneration();
   }
 }
 
@@ -353,7 +359,7 @@ const char* Topology::Reindex() {
     incident_[links_[id].a].push_back(id);
     incident_[links_[id].b].push_back(id);
   }
-  ++generation_;
+  generation_ = NextGeneration();
   return nullptr;
 }
 

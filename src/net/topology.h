@@ -94,7 +94,7 @@ class Topology {
   void SetLinkUp(LinkId id, bool up) {
     if (links_[id].up != up) {
       links_[id].up = up;
-      ++generation_;
+      generation_ = NextGeneration();
     }
   }
   bool IsLinkUp(LinkId id) const { return links_[id].up; }
@@ -163,9 +163,13 @@ class Topology {
   /// Deterministic for a given query sequence.
   std::size_t route_cache_bytes() const { return cache_bytes_.value(); }
 
-  /// Monotone structural-change counter: bumps on every mutation that could
-  /// change a shortest path. Cached rows stamped with an older generation
-  /// are dead.
+  /// Structural-change stamp: moves on every change of the fields Visit
+  /// lists (links and nodes added, link and node up flags, a load). Cached
+  /// rows stamped with an older generation are dead. Every move draws the
+  /// next value of one process-wide sequence, so two topologies share a
+  /// generation only when one is a copy of the other; a digest cached
+  /// against it (WanderingNetwork::MixDigest) stays exact across
+  /// assignment.
   std::uint64_t generation() const { return generation_; }
 
   /// True when every node can reach every other over up links.
@@ -217,6 +221,9 @@ class Topology {
     std::uint64_t last_used = 0;
     std::vector<NodeId> first_hop;
   };
+
+  // The next value of the process-wide generation sequence (never 0).
+  static std::uint64_t NextGeneration();
 
   // After a load: checks the node flags and link endpoints, rebuilds
   // incident_ and bumps the generation. On a bad payload it empties the

@@ -26,11 +26,12 @@ void GossipService::RunRound() {
       const std::size_t index = rng_.Index(neighbors_.size());
       const net::NodeId peer = neighbors_[index];
       neighbors_.erase(neighbors_.begin() + index);  // without replacement
-      wli::Shuttle s;
+      // A pooled shell: the encoding lands in its retained genome buffer.
+      wli::Shuttle s = network_.shuttle_pool().Acquire();
       s.header.source = ship.id();
       s.header.destination = peer;
       s.header.kind = wli::ShuttleKind::kKnowledge;
-      s.genome = genome_;
+      s.genome.assign(genome_.begin(), genome_.end());
       ++shuttles_sent_;
       (void)ship.SendShuttle(std::move(s));
     }

@@ -78,14 +78,22 @@ Result<Program> Program::Deserialize(std::span<const std::byte> bytes) {
   return program;
 }
 
+void Program::Measure() const {
+  if (measured_) return;
+  const std::vector<std::byte> image = Serialize();
+  cached_digest_ = HashBytes(image);
+  cached_wire_size_ = image.size();
+  measured_ = true;
+}
+
 Digest Program::digest() const {
-  if (!digest_valid_) {
-    cached_digest_ = HashBytes(Serialize());
-    digest_valid_ = true;
-  }
+  Measure();
   return cached_digest_;
 }
 
-std::size_t Program::WireSize() const { return Serialize().size(); }
+std::size_t Program::WireSize() const {
+  Measure();
+  return cached_wire_size_;
+}
 
 }  // namespace viator::vm

@@ -25,7 +25,8 @@ class Program {
   const std::vector<Instruction>& code() const { return code_; }
   const std::vector<std::int64_t>& constants() const { return constants_; }
 
-  /// Content digest over the canonical serialization. Computed lazily once.
+  /// Content digest over the canonical serialization. Computed lazily once,
+  /// together with WireSize().
   Digest digest() const;
 
   /// Canonical TLV serialization (what travels inside code shuttles).
@@ -35,6 +36,7 @@ class Program {
   static Result<Program> Deserialize(std::span<const std::byte> bytes);
 
   /// Wire size of the serialized form in bytes (shuttle payload accounting).
+  /// Computed lazily once, together with digest().
   std::size_t WireSize() const;
 
   bool empty() const { return code_.empty(); }
@@ -43,8 +45,12 @@ class Program {
   std::string name_;
   std::vector<Instruction> code_;
   std::vector<std::int64_t> constants_;
+  // Serializes once and caches what digest() and WireSize() report.
+  void Measure() const;
+
   mutable Digest cached_digest_ = 0;
-  mutable bool digest_valid_ = false;
+  mutable std::size_t cached_wire_size_ = 0;
+  mutable bool measured_ = false;
 };
 
 }  // namespace viator::vm

@@ -597,9 +597,10 @@ struct Fields {
   }
 };
 
-std::uint64_t HashOf(Fields& fields) {
+template <class T>
+std::uint64_t HashOf(T& fields, bool bypass_caches = false) {
   Hasher hasher;
-  StateHasher archive(hasher);
+  StateHasher archive(hasher, bypass_caches);
   fields.Visit(archive);
   return hasher.digest();
 }
@@ -683,6 +684,81 @@ TEST(Archive, HasherSeesEveryFieldAndIgnoresHashTableOrder) {
   EXPECT_EQ(mix(forward), mix(backward));
   backward[5] = 0;
   EXPECT_NE(mix(forward), mix(backward));
+}
+
+// Fields whose digests the owner keeps: a memoized count and a weight map
+// with a running multiset digest.
+struct KeptFields {
+  std::uint64_t count = 0;
+  DigestMemo count_memo;
+  std::map<std::uint32_t, double> weights;
+  MultisetDigest weights_digest;
+
+  static constexpr auto kWeight = [](auto& r, auto& weight) {
+    r.U32(0x01, weight.first);
+    r.F64(0x02, weight.second);
+  };
+  void SetWeight(std::uint32_t key, double value) {
+    auto [it, inserted] = weights.try_emplace(key, value);
+    if (!inserted) {
+      weights_digest.Remove(kWeight, *it);
+      it->second = value;
+    }
+    weights_digest.Add(kWeight, *it);
+  }
+
+  template <class A>
+  void Visit(A& a) {
+    a.Memo(count_memo, 0, [this](auto& r) { r.U64(0x01, count); });
+    a.Multiset(0x05, weights, weights_digest, kWeight);
+  }
+};
+
+TEST(Archive, MemoAndMultisetOnlyMemoize) {
+  KeptFields kept;
+  kept.count = 7;
+  kept.SetWeight(3, 0.5);
+  kept.SetWeight(1, 2.0);
+  kept.SetWeight(3, 0.25);
+
+  // The encoder writes them exactly as inline fields.
+  TlvWriter writer;
+  writer.PutU64(0x01, 7);
+  for (const auto& [key, value] : kept.weights) {
+    TlvWriter weight;
+    weight.PutU32(0x01, key);
+    weight.PutDouble(0x02, value);
+    writer.PutNested(0x05, weight.Finish());
+  }
+  const std::vector<std::byte> bytes = EncodeFields(kept);
+  EXPECT_EQ(bytes, writer.Finish());
+
+  // The kept digests equal the uncached walk, which hashes the map as
+  // Unordered does.
+  EXPECT_EQ(HashOf(kept), HashOf(kept, /*bypass_caches=*/true));
+  Hasher inline_hasher;
+  StateHasher inline_archive(inline_hasher);
+  Hasher count_part;
+  count_part.Mix(std::uint64_t{7});
+  inline_hasher.Mix(count_part.digest());
+  inline_archive.Unordered(0x05, kept.weights, nullptr, KeptFields::kWeight);
+  EXPECT_EQ(HashOf(kept), inline_hasher.digest());
+
+  // A load stales the memo and the kept sum.
+  KeptFields read;
+  read.count = 99;
+  (void)HashOf(read);  // a warm memo of the old count
+  ASSERT_TRUE(DecodeFields(bytes, read).ok());
+  EXPECT_EQ(HashOf(read), HashOf(kept));
+  EXPECT_EQ(HashOf(read), HashOf(read, /*bypass_caches=*/true));
+
+  // A change without its stale mark is what the oracle exists to catch.
+  const std::uint64_t before = HashOf(kept);
+  kept.count = 8;
+  EXPECT_EQ(HashOf(kept), before);
+  EXPECT_NE(HashOf(kept, /*bypass_caches=*/true), before);
+  kept.count_memo.Invalidate();
+  EXPECT_EQ(HashOf(kept), HashOf(kept, /*bypass_caches=*/true));
 }
 
 TEST(Hash, CombineEachMatchesOneChainAtATime) {

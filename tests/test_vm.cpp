@@ -138,6 +138,10 @@ TEST(Program, SerializeDeserializeRoundTrip) {
   EXPECT_EQ(restored->code(), program->code());
   EXPECT_EQ(restored->constants(), program->constants());
   EXPECT_EQ(restored->digest(), program->digest());
+  // Both measurements come from one serialization of the same bytes.
+  EXPECT_EQ(program->WireSize(), bytes.size());
+  EXPECT_EQ(program->digest(), HashBytes(bytes));
+  EXPECT_EQ(program->Serialize(), bytes);
 }
 
 TEST(Program, DigestIsContentAddressed) {

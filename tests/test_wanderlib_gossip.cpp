@@ -142,6 +142,10 @@ TEST_F(LibFixture, GossipSpreadsAFactToFullCoverage) {
   simulator.RunUntil(5 * sim::kSecond);
   EXPECT_DOUBLE_EQ(gossip.Coverage(4242), 1.0);
   EXPECT_GT(gossip.shuttles_sent(), 0u);
+  // Every gossip shuttle is a pooled shell, and after the first rounds the
+  // shells consumed by receivers come back for the next senders.
+  EXPECT_GE(wn->shuttle_pool().acquired(), gossip.shuttles_sent());
+  EXPECT_GT(wn->shuttle_pool().reused(), 0u);
   // Every ship converged on the same value.
   wn->ForEachShip([](wli::Ship& ship) {
     EXPECT_EQ(ship.facts().Get(4242), std::optional<std::int64_t>(99));
