@@ -432,7 +432,10 @@ Status DecodeLatSketch(std::span<const std::byte> payload,
   TlvReader inner(payload);
   sketch.Reset();
   std::uint64_t count = 0, sum = 0;
-  std::optional<std::uint32_t> pending_idx;
+  // kNoIndex until a bucket index arrives. (A std::optional here trips
+  // GCC's -Wmaybe-uninitialized under -fsanitize=thread.)
+  constexpr std::uint64_t kNoIndex = ~std::uint64_t{0};
+  std::uint64_t pending_idx = kNoIndex;
   while (inner.HasNext()) {
     auto f = inner.Next();
     if (!f.ok()) return f.status();
@@ -443,11 +446,12 @@ Status DecodeLatSketch(std::span<const std::byte> payload,
       case kTagLatSum: sum = f->AsU64(); break;
       case kTagLatBucketIdx: pending_idx = f->AsU32(); break;
       case kTagLatBucketN:
-        if (!pending_idx.has_value()) {
+        if (pending_idx == kNoIndex) {
           return BadPayload("latency bucket occupancy without an index");
         }
-        sketch.RestoreBucket(*pending_idx, f->AsU64());
-        pending_idx.reset();
+        sketch.RestoreBucket(static_cast<std::uint32_t>(pending_idx),
+                             f->AsU64());
+        pending_idx = kNoIndex;
         break;
       default: break;
     }
